@@ -33,6 +33,7 @@ from .charts import bilipschitz_estimate
 from .checkpoint import export_trace, load_checkpoint, save_checkpoint, write_json
 from .config import (
     Scenario,
+    flow_control_from_config,
     mesh_spec_from_config,
     parse_config,
     target_spec_from_config,
@@ -53,7 +54,7 @@ from .fields import (
     identity_sphere_map,
     perturbed_constant_map,
 )
-from .flow import FlowControl, run_flow
+from .flow import run_flow
 from .meshes import build_source, sobolev_multiplication_probe
 from .rng import stream
 from .targets import build_target
@@ -113,17 +114,7 @@ class _Run:
     def ensure_flow(self):
         if self.trace is not None:
             return
-        fc = self.scn.flow
-        control = FlowControl(
-            dt0=fc["dt0"],
-            dt_min=fc["dt_min"],
-            max_steps=fc["max_steps"],
-            max_time=fc["max_time"],
-            grad_tol=fc["grad_tol"],
-            checkpoint_every=fc["checkpoint_every"],
-            dist_norm=(fc["dist_k"], fc["dist_p"]),
-        )
-        self.trace = run_flow(self.f0, control)
+        self.trace = run_flow(self.f0, flow_control_from_config(self.scn.flow))
         self.f_inf = MapField(self.trace.final_values, self.target, self.mesh)
 
     def limit_map(self) -> MapField:
@@ -182,13 +173,8 @@ class _Run:
         payload["asymmetry_rel"] = op.asymmetry_rel
         write_json(payload, self.record("hessian_spectrum.json"))
         if hs["expected_critical_dim"] is not None:
-            report = loja.morse_bott_report(
-                f_inf,
-                hs["expected_critical_dim"],
-                kernel_tol=hs["kernel_tol"],
-                grad_tol=self.scn.flow["grad_tol"],
-                n_modes=hs["n_modes"],
-            )
+            loja.require_critical(f_inf, self.scn.flow["grad_tol"])
+            report = loja.classify_morse_bott(spec, hs["expected_critical_dim"])
             write_json(report.to_json_dict(), self.record("morse_bott.json"))
 
     def run_verify(self):
@@ -328,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     vp.add_argument("d", type=int)
     vp.add_argument("k", type=int)
     vp.add_argument("p", type=float)
-    vp.add_argument("variant", choices=["wk", "l2"])
+    vp.add_argument("variant", choices=loja.VARIANTS)
 
     args = parser.parse_args(argv)
 

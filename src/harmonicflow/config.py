@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
+from .flow import FlowControl
+from .lojasiewicz import VARIANTS
+from .meshes import MESH_KINDS
+from .targets import TARGET_KINDS
 
 ANALYSES = ("flow", "loja-fit", "hessian-spec", "verify", "chart-audit", "mult-probe")
 
@@ -47,6 +51,25 @@ def _opt_int(s: str) -> int | None:
     return None if s.strip().lower() in ("", "none") else int(s)
 
 
+def _one_of(choices):
+    """Parser for an enumerated key: the value must be one of ``choices``."""
+    def parse(s: str) -> str:
+        if s not in choices:
+            raise ValueError(f"not one of {tuple(choices)}")
+        return s
+    return parse
+
+
+INITIAL_MAP_KINDS = (
+    "constant",
+    "identity_sphere",
+    "degree_circle",
+    "perturbed_constant",
+    "from_checkpoint",
+)
+
+_FLOW = FlowControl()
+
 SCHEMA: dict[str, dict[str, tuple]] = {
     "scenario": {
         "seed": (int, REQUIRED),
@@ -54,7 +77,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "analyses": (_analyses, []),
     },
     "mesh": {
-        "kind": (str, REQUIRED),
+        "kind": (_one_of(MESH_KINDS), REQUIRED),
         "n": (int, None),
         "nu": (int, None),
         "nv": (int, None),
@@ -63,29 +86,29 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "level": (int, None),
     },
     "target": {
-        "kind": (str, REQUIRED),
+        "kind": (_one_of(TARGET_KINDS), REQUIRED),
         "ambient_dim": (int, None),
         "m": (int, None),
         "R": (float, None),
         "r": (float, None),
     },
     "initial_map": {
-        "kind": (str, REQUIRED),
+        "kind": (_one_of(INITIAL_MAP_KINDS), REQUIRED),
         "point": (_floats_list, None),
         "k": (int, 1),
         "amplitude": (float, 0.1),
         "path": (str, None),
     },
     "flow": {
-        "dt0": (float, 1e-4),
-        "dt_min": (float, 1e-12),
-        "max_steps": (int, 200_000),
-        "max_time": (float, math.inf),
-        "grad_tol": (float, 1e-9),
-        "checkpoint_every": (int, 100),
+        "dt0": (float, _FLOW.dt0),
+        "dt_min": (float, _FLOW.dt_min),
+        "max_steps": (int, _FLOW.max_steps),
+        "max_time": (float, _FLOW.max_time),
+        "grad_tol": (float, _FLOW.grad_tol),
+        "checkpoint_every": (int, _FLOW.checkpoint_every),
         "write_checkpoints": (_bool, False),
-        "dist_k": (int, 1),
-        "dist_p": (float, 2.0),
+        "dist_k": (int, _FLOW.dist_norm[0]),
+        "dist_p": (float, _FLOW.dist_norm[1]),
     },
     "loja_fit": {
         "window_lo": (_opt_float, None),
@@ -96,10 +119,10 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "count": (int, 32),
         "k": (int, 1),
         "p": (float, 2.0),
-        "variant": (str, "l2"),
+        "variant": (_one_of(VARIANTS), "l2"),
         "theta": (float, 0.5),
         "z": (float, 0.9),
-        "norm": (str, "l2"),
+        "norm": (_one_of(("l2", "wk")), "l2"),
     },
     "hessian": {
         "kernel_tol": (_opt_float, None),
@@ -119,15 +142,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "trials": (int, 8),
     },
 }
-
-INITIAL_MAP_KINDS = (
-    "constant",
-    "identity_sphere",
-    "degree_circle",
-    "perturbed_constant",
-    "from_checkpoint",
-)
-
 
 @dataclass
 class Scenario:
@@ -186,12 +200,7 @@ def parse_config(path: str) -> Scenario:
             else:
                 out[section][key] = default
 
-    imk = out["initial_map"]["kind"]
-    if imk not in INITIAL_MAP_KINDS:
-        raise ConfigError(
-            f"initial_map kind {imk!r} not one of {INITIAL_MAP_KINDS}"
-        )
-    if imk == "from_checkpoint" and not out["initial_map"]["path"]:
+    if out["initial_map"]["kind"] == "from_checkpoint" and not out["initial_map"]["path"]:
         raise ConfigError("initial_map kind from_checkpoint requires path")
 
     echo = {sec: {k: _echo_value(v) for k, v in keys.items()}
@@ -219,41 +228,28 @@ def _echo_value(v):
     return v
 
 
+def _spec_from_config(section: str, values: dict, kinds: dict) -> dict:
+    """The spec of a parsed [mesh] or [target] section; its kind is valid."""
+    keys = kinds[values["kind"]].keys
+    missing = [key for key in keys if values[key] is None]
+    if missing:
+        raise ConfigError(
+            f"[{section}] {values['kind']} requires {' and '.join(missing)}"
+        )
+    return {"kind": values["kind"], **{key: values[key] for key in keys}}
+
+
 def mesh_spec_from_config(mesh: dict) -> dict:
-    kind = mesh["kind"]
-    if kind == "circle":
-        if mesh["n"] is None:
-            raise ConfigError("[mesh] circle requires n")
-        return {"kind": "circle", "n": mesh["n"]}
-    if kind == "flat_torus":
-        if mesh["nu"] is None or mesh["nv"] is None:
-            raise ConfigError("[mesh] flat_torus requires nu and nv")
-        return {
-            "kind": "flat_torus",
-            "nu": mesh["nu"],
-            "nv": mesh["nv"],
-            "lu": mesh["lu"],
-            "lv": mesh["lv"],
-        }
-    if kind == "icosphere":
-        if mesh["level"] is None:
-            raise ConfigError("[mesh] icosphere requires level")
-        return {"kind": "icosphere", "level": mesh["level"]}
-    raise ConfigError(f"unknown mesh kind {kind!r}")
+    return _spec_from_config("mesh", mesh, MESH_KINDS)
 
 
 def target_spec_from_config(target: dict) -> dict:
-    kind = target["kind"]
-    if kind == "sphere":
-        if target["ambient_dim"] is None:
-            raise ConfigError("[target] sphere requires ambient_dim")
-        return {"kind": "sphere", "ambient_dim": target["ambient_dim"]}
-    if kind == "clifford_torus":
-        if target["m"] is None:
-            raise ConfigError("[target] clifford_torus requires m")
-        return {"kind": "clifford_torus", "m": target["m"]}
-    if kind == "torus_rev":
-        if target["R"] is None or target["r"] is None:
-            raise ConfigError("[target] torus_rev requires R and r")
-        return {"kind": "torus_rev", "R": target["R"], "r": target["r"]}
-    raise ConfigError(f"unknown target kind {kind!r}")
+    return _spec_from_config("target", target, TARGET_KINDS)
+
+
+def flow_control_from_config(flow: dict) -> FlowControl:
+    """The FlowControl of a parsed [flow] section."""
+    return FlowControl(
+        dist_norm=(flow["dist_k"], flow["dist_p"]),
+        **{f.name: flow[f.name] for f in fields(FlowControl) if f.name != "dist_norm"},
+    )

@@ -130,7 +130,7 @@ def tangent_frames(target: EmbeddedTarget, values: np.ndarray) -> np.ndarray:
     frames = np.empty((V, n, dN))
     for j in range(dN):
         diag = np.einsum("vii->vi", Q).copy()
-        # tiny index penalty implements first-index tie-breaking exactly
+        # argmax returns the first of equal maxima: the lowest-index tie-break
         pick = np.argmax(diag, axis=1)
         col = np.take_along_axis(Q, pick[:, None, None], axis=2)[:, :, 0]
         col = col / np.linalg.norm(col, axis=1, keepdims=True)

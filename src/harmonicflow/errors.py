@@ -12,7 +12,7 @@ class OutsideTubularNeighborhood(HarmonicFlowError):
 
 
 class NotOnTarget(HarmonicFlowError):
-    """Operation requires a point lying on the target manifold."""
+    """Point or map values lie off the target manifold beyond tolerance."""
 
 
 class NonTangentInput(HarmonicFlowError):
@@ -39,8 +39,8 @@ class InvalidExponents(HarmonicFlowError):
 
 # -- fields and energy -----------------------------------------------------
 
-class OffTarget(HarmonicFlowError):
-    """Map values leave the target manifold beyond tolerance."""
+# maps and points go through the same on-target check
+OffTarget = NotOnTarget
 
 
 class EigensolveFailure(HarmonicFlowError):

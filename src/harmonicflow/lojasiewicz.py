@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import chart_push
-from .energy import energy, hessian_matrix, hessian_spectrum, tension
+from .energy import HessianSpectrum, energy, hessian_matrix, hessian_spectrum, tension
 from .errors import (
     DegenerateWindow,
     InsufficientDecades,
@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedOrder,
 )
 from .fields import MapField, random_tangent_field
-from .flow import FlowTrace
+from .flow import FlowControl, FlowTrace
 from .meshes import l2_inner, l2_norm, lp_norm, mode_basis, sobolev_norm
 from .rng import stream
 
@@ -36,6 +36,8 @@ __all__ = [
     "fit_exponent",
     "MorseBottReport",
     "morse_bott_report",
+    "require_critical",
+    "classify_morse_bott",
     "ConvergenceVerdict",
     "convergence_classifier",
     "gradient_dual_norm",
@@ -44,6 +46,9 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # hypothesis tables
+
+VARIANTS = ("wk", "l2")  # gradient measured in W^{k-2,p}, or in L2
+
 
 @dataclass(frozen=True)
 class ExponentVerdict:
@@ -61,7 +66,7 @@ def validate_exponents(d: int, k: int, p: float, variant: str) -> ExponentVerdic
       (3) d >= 2, k >= 2, 2 <= p;
     first-order cases are excluded outright for d >= 4.
     """
-    if variant not in ("wk", "l2"):
+    if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     if d < 2:
         return ExponentVerdict(False, f"source dimension d = {d} < 2")
@@ -281,15 +286,9 @@ def fit_exponent(
     span = math.log10(float(np.max(gaps)) / float(np.min(gaps)))
     if span < 2.0:
         raise InsufficientDecades(f"window spans {span:.2f} decades < 2")
-    x = np.log(gaps)
-    y = np.log(gns)
-    slope, intercept = np.polyfit(x, y, 1)
-    pred = slope * x + intercept
-    ss_res = float(np.sum((y - pred) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    slope, intercept, r2 = _r2_line(np.log(gaps), np.log(gns))
     return LojasiewiczFit(
-        theta_hat=float(slope),
+        theta_hat=slope,
         z_hat=float(np.exp(intercept)),
         window=(float(lo), float(hi)),
         r_squared=r2,
@@ -325,15 +324,27 @@ def morse_bott_report(
     f_inf: MapField,
     expected_critical_dim: int | None,
     kernel_tol: float | None = None,
-    grad_tol: float = 1e-9,
+    grad_tol: float = FlowControl.grad_tol,
     n_modes: int = 32,
 ) -> MorseBottReport:
     """Hessian-kernel count at a critical point versus the expected dimension."""
+    require_critical(f_inf, grad_tol)
+    op = hessian_matrix(f_inf)
+    spec = hessian_spectrum(op, kernel_tol=kernel_tol, n_modes=n_modes)
+    return classify_morse_bott(spec, expected_critical_dim)
+
+
+def require_critical(f_inf: MapField, grad_tol: float) -> None:
+    """Raise NotCritical unless |M(f_inf)|_L2 <= 10 grad_tol."""
     gn = l2_norm(f_inf.mesh, tension(f_inf).values)
     if gn > 10.0 * grad_tol:
         raise NotCritical(f"|M(f_inf)| = {gn:.3e} > 10 * {grad_tol:.1e}")
-    op = hessian_matrix(f_inf)
-    spec = hessian_spectrum(op, kernel_tol=kernel_tol, n_modes=n_modes)
+
+
+def classify_morse_bott(
+    spec: HessianSpectrum, expected_critical_dim: int | None
+) -> MorseBottReport:
+    """Morse-Bott verdict from the Hessian spectrum at a critical point."""
     gap_ok = math.isfinite(spec.gap_ratio) and spec.gap_ratio >= 10.0
     if not gap_ok:
         verdict = "inconclusive"
@@ -374,12 +385,14 @@ class ConvergenceVerdict:
         }
 
 
-def _r2_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+def _r2_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, r^2)."""
     slope, intercept = np.polyfit(x, y, 1)
     pred = slope * x + intercept
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    return float(slope), (1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0)
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), r2
 
 
 def convergence_classifier(
@@ -393,8 +406,8 @@ def convergence_classifier(
     if t.size < min_tail:
         raise InsufficientTail(f"only {t.size} tail samples below {grad_cut:.1e}")
     y = np.log(gn)
-    slope_e, r2_e = _r2_line(t, y)
-    slope_p, r2_p = _r2_line(np.log(t), y)
+    slope_e, _, r2_e = _r2_line(t, y)
+    slope_p, _, r2_p = _r2_line(np.log(t), y)
     if r2_e < 0.95 and r2_p < 0.95:
         return ConvergenceVerdict("undetermined", None, None, r2_e, r2_p)
     # exponential wins ties (expected in the Morse-Bott regime)

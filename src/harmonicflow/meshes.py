@@ -23,7 +23,8 @@ Discretizations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,6 +38,7 @@ __all__ = [
     "build_circle",
     "build_flat_torus",
     "build_icosphere",
+    "MESH_KINDS",
     "laplace_beltrami_apply",
     "l2_inner",
     "lp_norm",
@@ -44,7 +46,6 @@ __all__ = [
     "energy_density",
     "mode_basis",
     "random_scalar_field",
-    "random_ambient_field",
     "sobolev_multiplication_probe",
     "mesh_to_json_dict",
 ]
@@ -52,15 +53,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SourceMesh:
-    kind: str
-    dimension: int
     refinement_level: int
     points: np.ndarray          # parameter/embedding coords per vertex
     area: np.ndarray            # lumped mass per vertex, (V,)
     stiffness: sp.csr_matrix    # K, symmetric PSD, K 1 = 0 bitwise
     diff: sp.csr_matrix         # D, (m, V) gradient stencil rows
     diff_scatter: sp.csr_matrix  # (V, m), row weights sum to 1 per row
-    spec: dict = field(default_factory=dict)
+    spec: dict                  # {"kind": ..., builder arguments}
+
+    @property
+    def kind(self) -> str:
+        return self.spec["kind"]
+
+    @property
+    def dimension(self) -> int:
+        return MESH_KINDS[self.kind].dimension
 
     @property
     def vertex_count(self) -> int:
@@ -117,8 +124,6 @@ def build_circle(n: int) -> SourceMesh:
     )
 
     return SourceMesh(
-        kind="circle",
-        dimension=1,
         refinement_level=n,
         points=theta[:, None],
         area=area,
@@ -161,8 +166,6 @@ def build_flat_torus(nu: int, nv: int, lu: float = 2.0 * math.pi, lv: float = 2.
     D, scatter = _edge_diff(ei, ej, ew, V)
 
     return SourceMesh(
-        kind="flat_torus",
-        dimension=2,
         refinement_level=min(nu, nv),
         points=points,
         area=area,
@@ -313,8 +316,6 @@ def build_icosphere(level: int) -> SourceMesh:
     )
 
     return SourceMesh(
-        kind="icosphere",
-        dimension=2,
         refinement_level=level,
         points=verts,
         area=area,
@@ -325,21 +326,27 @@ def build_icosphere(level: int) -> SourceMesh:
     )
 
 
+class MeshKind(NamedTuple):
+    build: Callable[..., SourceMesh]
+    keys: dict[str, type]  # spec key -> type; keys are the builder's arguments
+    dimension: int
+
+
+MESH_KINDS = {
+    "circle": MeshKind(build_circle, {"n": int}, 1),
+    "flat_torus": MeshKind(
+        build_flat_torus, {"nu": int, "nv": int, "lu": float, "lv": float}, 2
+    ),
+    "icosphere": MeshKind(build_icosphere, {"level": int}, 2),
+}
+
+
 def build_source(spec: dict) -> SourceMesh:
     """Construct a mesh from a scenario-style spec dict."""
-    kind = spec.get("kind")
-    if kind == "circle":
-        return build_circle(int(spec["n"]))
-    if kind == "flat_torus":
-        return build_flat_torus(
-            int(spec["nu"]),
-            int(spec["nv"]),
-            float(spec.get("lu", 2.0 * math.pi)),
-            float(spec.get("lv", 2.0 * math.pi)),
-        )
-    if kind == "icosphere":
-        return build_icosphere(int(spec["level"]))
-    raise InvalidSpec(f"unknown mesh kind {kind!r}")
+    if spec.get("kind") not in MESH_KINDS:
+        raise InvalidSpec(f"unknown mesh kind {spec.get('kind')!r}")
+    build, keys, _ = MESH_KINDS[spec["kind"]]
+    return build(**{key: typ(spec[key]) for key, typ in keys.items() if key in spec})
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +465,6 @@ def random_scalar_field(mesh: SourceMesh, rng: np.random.Generator) -> np.ndarra
     return basis @ rng.standard_normal(basis.shape[1])
 
 
-def random_ambient_field(
-    mesh: SourceMesh, rng: np.random.Generator, ambient_dim: int
-) -> np.ndarray:
-    basis = mode_basis(mesh)
-    return basis @ rng.standard_normal((basis.shape[1], ambient_dim))
-
-
 # ---------------------------------------------------------------------------
 # multiplication probe
 
@@ -474,16 +474,16 @@ def sobolev_multiplication_probe(
     p: float,
     trials: int,
     seed: int = 0,
-    mesh_kind: str = "flat_torus",
 ) -> list[dict]:
     """Estimate the W^{k,p} x L2 -> L2 multiplication constant per level.
 
-    Returns, for each refinement level, the max over seeded trials of
+    Returns, for each level n of the n x n flat torus, the max over seeded
+    trials of
     ||f1 f2||_L2 / (||f1||_{W^{k,p}} ||f2||_L2).  Stability of these numbers
     under refinement is the property being probed; trials with f2 = 0 are
     excluded from the max.
     """
-    d = 2 if mesh_kind in ("flat_torus", "icosphere") else 1
+    d = MESH_KINDS["flat_torus"].dimension
     first_order_ok = k == 1 and p > d
     higher_order_ok = k >= 2 and p >= 2 and k * p > d
     if not (first_order_ok or higher_order_ok):
@@ -494,14 +494,7 @@ def sobolev_multiplication_probe(
     rng = stream(seed, "mult-probe")
     out = []
     for level in levels:
-        if mesh_kind == "flat_torus":
-            mesh = build_flat_torus(level, level)
-        elif mesh_kind == "circle":
-            mesh = build_circle(level)
-        elif mesh_kind == "icosphere":
-            mesh = build_icosphere(level)
-        else:
-            raise InvalidSpec(f"unknown mesh kind {mesh_kind!r}")
+        mesh = build_flat_torus(level, level)
         best = 0.0
         for _ in range(int(trials)):
             f1 = random_scalar_field(mesh, rng)

@@ -18,6 +18,7 @@ arrays of shape (..., n) with n the ambient dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,13 @@ from .errors import (
     OutsideTubularNeighborhood,
 )
 
+# Absolute, so the check is one distance pass: projected points sit within
+# rounding (~1e-16 times the target's extent, at most R + r) of the target.
 ON_TARGET_TOL = 1e-9
-TANGENT_TOL = 1e-9
+# Relative to max(1, |v|_inf).  Looser than ON_TARGET_TOL because a map that
+# passes the on-target check at distance eps has a projector that is
+# idempotent only to ~2 eps (P^2 - P = (|y|^2 - 1) y y^T on the sphere).
+TANGENT_TOL = 1e-8
 # chart operations stay inside half the tubular radius
 CHART_SAFETY = 0.5
 
@@ -108,21 +114,21 @@ class EmbeddedTarget:
             )
         return self._project(x)
 
-    def require_on_target(self, y: np.ndarray, tol: float = ON_TARGET_TOL) -> None:
-        y = np.asarray(y, dtype=float)
-        scale = max(1.0, float(np.max(np.linalg.norm(y, axis=-1))))
+    def require_on_target(self, y: np.ndarray) -> None:
+        """Raise NotOnTarget unless every point is finite and on the target."""
         worst = float(np.max(self.distance(y)))
-        if worst > tol * scale:
-            raise NotOnTarget(f"off-target residual {worst:.3e} > {tol * scale:.3e}")
+        if not worst <= ON_TARGET_TOL:  # NaN compares false: non-finite fails
+            raise NotOnTarget(f"off-target residual {worst:.3e} > {ON_TARGET_TOL:.1e}")
 
-    def require_tangent(self, y: np.ndarray, v: np.ndarray, tol: float = TANGENT_TOL) -> None:
+    def require_tangent(self, y: np.ndarray, v: np.ndarray) -> None:
+        """Raise NonTangentInput unless each v is tangent to the target at y."""
         v = np.asarray(v, dtype=float)
-        P = self._projector(np.asarray(y, dtype=float))
+        P = self.tangent_projector(y, check=False)
         resid = np.einsum("...ij,...j->...i", P, v) - v
         worst = float(np.max(np.linalg.norm(resid, axis=-1)))
-        scale = max(1.0, float(np.max(np.linalg.norm(v, axis=-1))))
-        if worst > tol * scale:
-            raise NonTangentInput(f"tangency residual {worst:.3e} > {tol * scale:.3e}")
+        tol = TANGENT_TOL * max(1.0, float(np.max(np.linalg.norm(v, axis=-1))))
+        if not worst <= tol:
+            raise NonTangentInput(f"tangency residual {worst:.3e} > {tol:.1e}")
 
     def tangent_projector(self, y: np.ndarray, check: bool = True) -> np.ndarray:
         """Orthogonal projector onto T_y N, shape (..., n, n)."""
@@ -344,13 +350,21 @@ class TorusOfRevolution(EmbeddedTarget):
         return {"kind": "torus_rev", "R": self.major_radius, "r": self.minor_radius}
 
 
+class TargetKind(NamedTuple):
+    cls: type
+    keys: dict[str, type]  # spec key -> type, in constructor argument order
+
+
+TARGET_KINDS = {
+    "sphere": TargetKind(UnitSphere, {"ambient_dim": int}),
+    "clifford_torus": TargetKind(CliffordTorus, {"m": int}),
+    "torus_rev": TargetKind(TorusOfRevolution, {"R": float, "r": float}),
+}
+
+
 def build_target(spec: dict) -> EmbeddedTarget:
     """Construct a target from a scenario-style spec dict."""
-    kind = spec.get("kind")
-    if kind == "sphere":
-        return UnitSphere(int(spec["ambient_dim"]))
-    if kind == "clifford_torus":
-        return CliffordTorus(int(spec["m"]))
-    if kind == "torus_rev":
-        return TorusOfRevolution(float(spec["R"]), float(spec["r"]))
-    raise InvalidSpec(f"unknown target kind {kind!r}")
+    if spec.get("kind") not in TARGET_KINDS:
+        raise InvalidSpec(f"unknown target kind {spec.get('kind')!r}")
+    cls, keys = TARGET_KINDS[spec["kind"]]
+    return cls(*(typ(spec[key]) for key, typ in keys.items()))

@@ -46,6 +46,13 @@ def test_map_field_rejects_off_target(ico2, s2):
         MapField(vals, s2, ico2)
 
 
+def test_map_field_rejects_nan_value(ico2, s2):
+    vals = constant_map(ico2, s2).values.copy()
+    vals[5, 1] = np.nan  # max(dist) > tol is False for NaN: must still fail
+    with pytest.raises(OffTarget):
+        MapField(vals, s2, ico2)
+
+
 def test_tangent_field_rejects_non_tangent(ico2, s2):
     f = constant_map(ico2, s2)
     with pytest.raises(NonTangentInput):

@@ -10,6 +10,7 @@ from harmonicflow import (
     MapField,
     constant_map,
     fit_exponent,
+    morse_bott_report,
     perturbed_constant_map,
     run_flow,
 )
@@ -19,8 +20,17 @@ from harmonicflow.checkpoint import (
     read_trace,
     save_checkpoint,
 )
+import harmonicflow.cli as cli_module
+import harmonicflow.lojasiewicz as loja_module
 from harmonicflow.cli import main as cli_main
-from harmonicflow.config import parse_config
+from harmonicflow.config import (
+    flow_control_from_config,
+    mesh_spec_from_config,
+    parse_config,
+    target_spec_from_config,
+)
+from harmonicflow.meshes import MESH_KINDS, build_source
+from harmonicflow.targets import TARGET_KINDS, build_target
 from harmonicflow.errors import (
     CheckpointParseError,
     CheckpointVersionError,
@@ -82,6 +92,17 @@ def test_checkpoint_off_target_rejected(ico2, s2, tmp_path):
     save_checkpoint(f, {}, str(path))
     payload = json.loads(path.read_text())
     payload["values"][0] = ["1.5", "0", "0"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(OffTarget):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_nan_value_rejected(ico2, s2, tmp_path):
+    f = constant_map(ico2, s2)
+    path = tmp_path / "ck.json"
+    save_checkpoint(f, {}, str(path))
+    payload = json.loads(path.read_text())
+    payload["values"][0][1] = "nan"
     path.write_text(json.dumps(payload))
     with pytest.raises(OffTarget):
         load_checkpoint(str(path))
@@ -202,6 +223,87 @@ def test_missing_required_key(tmp_path):
         parse_config(write_cfg(tmp_path, cfg))
 
 
+MINIMAL_SECTIONS = {
+    "scenario": {"seed": 1},
+    "mesh": {"kind": "icosphere", "level": 1},
+    "target": {"kind": "sphere", "ambient_dim": 3},
+    "initial_map": {"kind": "constant"},
+}
+
+
+def minimal_cfg(tmp_path, **overrides):
+    """Write the minimal config, with whole sections replaced by ``overrides``."""
+    sections = {**MINIMAL_SECTIONS, **overrides}
+    body = "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    )
+    return write_cfg(tmp_path, body)
+
+
+@pytest.mark.parametrize("section,key", [
+    ("verify", "variant"),
+    ("verify", "norm"),
+    ("mesh", "kind"),
+    ("target", "kind"),
+    ("initial_map", "kind"),
+])
+def test_unknown_enum_value_rejected_at_parse(tmp_path, section, key):
+    keys = {**MINIMAL_SECTIONS.get(section, {}), key: "bogus"}
+    with pytest.raises(ConfigError, match="bogus"):
+        parse_config(minimal_cfg(tmp_path, **{section: keys}))
+
+
+def test_minimal_flow_section_is_flow_control_defaults(tmp_path):
+    scn = parse_config(minimal_cfg(tmp_path))
+    assert flow_control_from_config(scn.flow) == FlowControl()
+
+
+# one valid example per kind; a kind added to a table needs an example here
+MESH_EXAMPLES = {
+    "circle": {"n": 16},
+    "flat_torus": {"nu": 8, "nv": 12, "lu": 3.0, "lv": 4.5},
+    "icosphere": {"level": 1},
+}
+TARGET_EXAMPLES = {
+    "sphere": {"ambient_dim": 3},
+    "clifford_torus": {"m": 2},
+    "torus_rev": {"R": 2.0, "r": 0.5},
+}
+
+
+def test_every_mesh_kind_round_trips_config_spec_build(tmp_path):
+    assert set(MESH_EXAMPLES) == set(MESH_KINDS)
+    for kind, keys in MESH_EXAMPLES.items():
+        scn = parse_config(minimal_cfg(tmp_path, mesh={"kind": kind, **keys}))
+        spec = mesh_spec_from_config(scn.mesh)
+        assert spec == {"kind": kind, **keys}
+        mesh = build_source(spec)
+        assert mesh.spec == spec
+        assert mesh.dimension == MESH_KINDS[kind].dimension
+
+
+def test_every_target_kind_round_trips_config_spec_build(tmp_path):
+    assert set(TARGET_EXAMPLES) == set(TARGET_KINDS)
+    for kind, keys in TARGET_EXAMPLES.items():
+        scn = parse_config(minimal_cfg(tmp_path, target={"kind": kind, **keys}))
+        spec = target_spec_from_config(scn.target)
+        assert spec == {"kind": kind, **keys}
+        assert build_target(spec).spec() == spec
+
+
+def test_kind_missing_its_key_rejected(tmp_path):
+    scn = parse_config(minimal_cfg(
+        tmp_path,
+        mesh={"kind": "flat_torus", "nu": 8},
+        target={"kind": "torus_rev", "R": 2.0},
+    ))
+    with pytest.raises(ConfigError, match="flat_torus requires nv"):
+        mesh_spec_from_config(scn.mesh)
+    with pytest.raises(ConfigError, match="torus_rev requires r"):
+        target_spec_from_config(scn.target)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -280,6 +382,48 @@ def test_cli_hessian_spec_with_morse_bott(tmp_path):
     assert spec["kernel_dim"] == 2
     mb = json.loads((out / "morse_bott.json").read_text())
     assert mb["verdict"] == "morse_bott"
+
+
+def test_cli_bogus_verify_variant_exit_2(tmp_path, capsys):
+    cfg = BASE_CFG.format(analyses="verify") + "\n[verify]\np = 3\nvariant = bogus\n"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "variant" in capsys.readouterr().err
+
+
+def test_cli_hessian_spec_assembles_one_hessian(tmp_path, monkeypatch):
+    calls = []
+    for module in (cli_module, loja_module):
+        for name in ("hessian_matrix", "hessian_spectrum"):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    cfg = BASE_CFG.format(analyses="hessian-spec").replace(
+        "kind = perturbed_constant\namplitude = 0.1", "kind = constant"
+    )
+    cfg += "\n[hessian]\nexpected_critical_dim = 2\n"
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert sorted(calls) == ["hessian_matrix", "hessian_spectrum"]
+    monkeypatch.undo()
+    scn = parse_config(write_cfg(tmp_path, cfg))
+    f = constant_map(build_source(mesh_spec_from_config(scn.mesh)),
+                     build_target(target_spec_from_config(scn.target)))
+    report = morse_bott_report(f, 2, grad_tol=scn.flow["grad_tol"])
+    written = json.loads((out / "morse_bott.json").read_text())
+    assert written == json.loads(json.dumps(report.to_json_dict()))
+
+
+def test_cli_hessian_spec_not_critical_exit_3_after_spectrum(tmp_path):
+    cfg = BASE_CFG.format(analyses="hessian-spec")  # perturbed map: not critical
+    cfg += "\n[hessian]\nexpected_critical_dim = 2\n"
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert (out / "hessian_spectrum.json").exists()
+    assert not (out / "morse_bott.json").exists()
 
 
 def test_cli_from_checkpoint_roundtrip(tmp_path, ico2, s2):

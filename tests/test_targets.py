@@ -180,6 +180,16 @@ def test_projector_requires_on_target():
         UnitSphere(3).tangent_projector(np.array([1.1, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind)
+def test_require_on_target_rejects_non_finite(target):
+    y = random_on_target(target, np.random.default_rng(3), count=4)
+    for bad in (np.nan, np.inf):
+        y_bad = y.copy()
+        y_bad[2, 0] = bad
+        with pytest.raises(NotOnTarget):
+            target.require_on_target(y_bad)
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form and projection Hessian
 
