@@ -61,10 +61,10 @@ def chart_pull(
         if np.max(rnorm) <= NEWTON_TOL:
             break
         y = tgt.project_to_target(f.values + np.einsum("vnj,vj->vn", frames, c))
-        P = tgt.tangent_projector(y, check=False)
-        J = np.einsum("vni,vij->vnj", P.transpose(0, 2, 1), frames)  # dpi(y) E
-        JtJ = np.einsum("vnj,vnk->vjk", J, J)
-        Jtr = np.einsum("vnj,vn->vj", J, r)
+        # (V, dN, n): row j is dpi(y) applied to frame column j
+        J = tgt.tangent_project(y[:, None, :], frames.transpose(0, 2, 1))
+        JtJ = np.einsum("vjn,vkn->vjk", J, J)
+        Jtr = np.einsum("vjn,vn->vj", J, r)
         try:
             step = np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

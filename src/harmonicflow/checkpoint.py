@@ -75,8 +75,11 @@ def load_checkpoint(
         raise SpecMismatch(f"mesh spec {mesh_spec} != scenario {mesh.spec}")
     if target is not None and target.spec() != target_spec:
         raise SpecMismatch(f"target spec {target_spec} != scenario {target.spec()}")
-    mesh = mesh if mesh is not None else build_source(mesh_spec)
-    target = target if target is not None else build_target(target_spec)
+    try:
+        mesh = mesh if mesh is not None else build_source(mesh_spec)
+        target = target if target is not None else build_target(target_spec)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointParseError(f"{path}: bad mesh or target spec: {exc!r}") from exc
     return MapField(values, target, mesh), metadata
 
 

@@ -32,6 +32,7 @@ from .energy import hessian_matrix, hessian_spectrum
 from .charts import bilipschitz_estimate
 from .checkpoint import export_trace, load_checkpoint, save_checkpoint, write_json
 from .config import (
+    ANALYSES,
     Scenario,
     flow_control_from_config,
     mesh_spec_from_config,
@@ -45,6 +46,8 @@ from .errors import (
     HarmonicFlowError,
     InadmissibleExponents,
     InvalidSpec,
+    OutsideTubularNeighborhood,
+    ShapeMismatch,
     SpecMismatch,
 )
 from .fields import (
@@ -72,20 +75,25 @@ CONFIG_ERRORS = (
 
 
 def _build_initial_map(scn: Scenario, mesh, target) -> MapField:
+    """The scenario's initial map.  A point or kind that does not fit the mesh
+    and target is an input error (ConfigError), not a numerical failure."""
     im = scn.initial_map
     kind = im["kind"]
-    if kind == "constant":
-        return constant_map(mesh, target, im["point"])
-    if kind == "identity_sphere":
-        return identity_sphere_map(mesh, target)
-    if kind == "degree_circle":
-        return degree_circle_map(mesh, target, im["k"])
-    if kind == "perturbed_constant":
-        rng = stream(scn.seed, "initial-map")
-        return perturbed_constant_map(mesh, target, im["amplitude"], rng, im["point"])
-    if kind == "from_checkpoint":
-        f, _ = load_checkpoint(im["path"], mesh=mesh, target=target)
-        return f
+    try:
+        if kind == "constant":
+            return constant_map(mesh, target, im["point"])
+        if kind == "identity_sphere":
+            return identity_sphere_map(mesh, target)
+        if kind == "degree_circle":
+            return degree_circle_map(mesh, target, im["k"])
+        if kind == "perturbed_constant":
+            rng = stream(scn.seed, "initial-map")
+            return perturbed_constant_map(mesh, target, im["amplitude"], rng, im["point"])
+        if kind == "from_checkpoint":
+            f, _ = load_checkpoint(im["path"], mesh=mesh, target=target)
+            return f
+    except (OutsideTubularNeighborhood, ShapeMismatch) as exc:
+        raise ConfigError(f"[initial_map] kind = {kind}: {exc}") from exc
     raise ConfigError(f"unknown initial map kind {kind!r}")
 
 
@@ -121,7 +129,7 @@ class _Run:
         """Flow limit if a flow ran, otherwise the initial map."""
         return self.f_inf if self.f_inf is not None else self.f0
 
-    def run_flow_analysis(self):
+    def run_flow(self):
         self.ensure_flow()
         export_trace(self.trace, self.record("trace.csv"))
         save_checkpoint(
@@ -224,14 +232,8 @@ class _Run:
         write_json({"levels": rows, "k": mp["k"], "p": mp["p"]}, self.record("mult_probe.json"))
 
 
-ANALYSIS_RUNNERS = {
-    "flow": _Run.run_flow_analysis,
-    "loja-fit": _Run.run_loja_fit,
-    "hessian-spec": _Run.run_hessian_spec,
-    "verify": _Run.run_verify,
-    "chart-audit": _Run.run_chart_audit,
-    "mult-probe": _Run.run_mult_probe,
-}
+# each analysis runs the _Run method of its name: "loja-fit" -> run_loja_fit
+ANALYSIS_RUNNERS = {name: getattr(_Run, "run_" + name.replace("-", "_")) for name in ANALYSES}
 
 
 def run_scenario(
@@ -303,9 +305,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker threads (only 1 guarantees bit determinism)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_like = ["run", "flow", "loja-fit", "hessian-spec", "verify",
-                "chart-audit", "mult-probe"]
-    for name in run_like:
+    for name in ("run", *ANALYSES):
         sp = sub.add_parser(name)
         sp.add_argument("config", help="scenario config file")
         sp.add_argument("--out", default=None, help="output directory override")

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields
 from .errors import ConfigError
 from .flow import FlowControl
 from .lojasiewicz import VARIANTS
-from .meshes import MESH_KINDS
+from .meshes import FLAT_TORUS_SIDE, MESH_KINDS
 from .targets import TARGET_KINDS
 
 ANALYSES = ("flow", "loja-fit", "hessian-spec", "verify", "chart-audit", "mult-probe")
@@ -81,8 +81,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "n": (int, None),
         "nu": (int, None),
         "nv": (int, None),
-        "lu": (float, 2.0 * math.pi),
-        "lv": (float, 2.0 * math.pi),
+        "lu": (float, FLAT_TORUS_SIDE),
+        "lv": (float, FLAT_TORUS_SIDE),
         "level": (int, None),
     },
     "target": {

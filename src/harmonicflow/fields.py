@@ -85,8 +85,7 @@ def random_tangent_field(
     """Band-limited ambient field projected to the tangent planes along f."""
     basis = mode_basis(f.mesh)
     raw = basis @ rng.standard_normal((basis.shape[1], f.target.ambient_dim))
-    P = f.target.tangent_projector(f.values, check=False)
-    return TangentField(amplitude * np.einsum("vij,vj->vi", P, raw), f)
+    return TangentField(amplitude * f.target.tangent_project(f.values, raw), f)
 
 
 def perturbed_constant_map(

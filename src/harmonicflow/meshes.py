@@ -134,7 +134,10 @@ def build_circle(n: int) -> SourceMesh:
     )
 
 
-def build_flat_torus(nu: int, nv: int, lu: float = 2.0 * math.pi, lv: float = 2.0 * math.pi) -> SourceMesh:
+FLAT_TORUS_SIDE = 2.0 * math.pi  # default side length of the flat torus
+
+
+def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = FLAT_TORUS_SIDE) -> SourceMesh:
     """Uniform nu x nv grid on a flat rectangular torus of side lengths lu, lv."""
     if nu < 8 or nv < 8:
         raise InvalidSpec("flat torus needs at least an 8 x 8 grid")

@@ -1,9 +1,10 @@
 """Closed embedded target manifolds with exact nearest-point projection.
 
-Each target knows its projection pi, the tangent projector dpi (orthogonal
-projection onto the tangent plane), and the full ambient Hessian d2pi of the
-projection.  Sign convention: the second fundamental form is defined through
-the projection Hessian,
+Each target knows its projection pi, its differential dpi in closed form as
+``tangent_project(y, v)`` (the orthogonal projection of v onto the tangent
+plane at y), and the full ambient Hessian d2pi of the projection.  Sign
+convention: the second fundamental form is defined through the projection
+Hessian,
 
     A(y)(v, w) := -d2pi(y)(v, w)   for tangent v, w,
 
@@ -78,7 +79,8 @@ class EmbeddedTarget:
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _projector(self, y: np.ndarray) -> np.ndarray:
+    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dpi(y) v: the tangent part of v at y; broadcasts y against v."""
         raise NotImplementedError
 
     def _d2_projection(self, y: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -123,19 +125,18 @@ class EmbeddedTarget:
     def require_tangent(self, y: np.ndarray, v: np.ndarray) -> None:
         """Raise NonTangentInput unless each v is tangent to the target at y."""
         v = np.asarray(v, dtype=float)
-        P = self.tangent_projector(y, check=False)
-        resid = np.einsum("...ij,...j->...i", P, v) - v
+        resid = self.tangent_project(np.asarray(y, dtype=float), v) - v
         worst = float(np.max(np.linalg.norm(resid, axis=-1)))
         tol = TANGENT_TOL * max(1.0, float(np.max(np.linalg.norm(v, axis=-1))))
         if not worst <= tol:
             raise NonTangentInput(f"tangency residual {worst:.3e} > {tol:.1e}")
 
     def tangent_projector(self, y: np.ndarray, check: bool = True) -> np.ndarray:
-        """Orthogonal projector onto T_y N, shape (..., n, n)."""
+        """Orthogonal projector onto T_y N, shape (..., n, n); row c is dpi(y) e_c."""
         y = np.asarray(y, dtype=float)
         if check:
             self.require_on_target(y)
-        return self._projector(y)
+        return self.tangent_project(y[..., None, :], np.eye(self.ambient_dim))
 
     def ambient_hessian_of_projection(
         self, y: np.ndarray, v: np.ndarray, w: np.ndarray, check: bool = True
@@ -195,10 +196,8 @@ class UnitSphere(EmbeddedTarget):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
-    def _projector(self, y: np.ndarray) -> np.ndarray:
-        n = self.ambient_dim
-        eye = np.eye(n)
-        return eye - y[..., :, None] * y[..., None, :]
+    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return v - y * _dots(y, v)
 
     def _d2_projection(self, y, v, w):
         term = -v * _dots(y, w) - w * _dots(y, v) - y * _dots(v, w)
@@ -251,15 +250,11 @@ class CliffordTorus(EmbeddedTarget):
         rho = np.linalg.norm(pairs, axis=-1, keepdims=True)
         return (pairs / rho).reshape(x.shape)
 
-    def _projector(self, y: np.ndarray) -> np.ndarray:
-        m, n = self.circle_count, self.ambient_dim
-        pairs = self._pairs(y)
-        P = np.zeros(y.shape[:-1] + (n, n))
-        for i in range(m):
-            e = pairs[..., i, :]
-            block = np.eye(2) - e[..., :, None] * e[..., None, :]
-            P[..., 2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = block
-        return P
+    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # per factor circle, with the raw (unnormalized) coordinate pairs of y
+        yp, vp = self._pairs(y), self._pairs(v)
+        out = vp - yp * _dots(yp, vp)
+        return out.reshape(out.shape[:-2] + (self.ambient_dim,))
 
     def _d2_projection(self, y, v, w):
         yp, vp, wp = self._pairs(y), self._pairs(v), self._pairs(w)
@@ -320,10 +315,10 @@ class TorusOfRevolution(EmbeddedTarget):
         _, e, q, s = self._core_decomp(x)
         return self.major_radius * e + self.minor_radius * q / s
 
-    def _projector(self, y: np.ndarray) -> np.ndarray:
+    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         _, _, q, s = self._core_decomp(y)
         nu = q / s
-        return np.eye(3) - nu[..., :, None] * nu[..., None, :]
+        return v - nu * _dots(nu, v)
 
     def _d2_projection(self, y, v, w):
         R, r = self.major_radius, self.minor_radius

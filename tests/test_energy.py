@@ -83,6 +83,18 @@ def test_energy_equals_half_density_integral(ico3, s2):
     assert energy(f) == 0.5 * float(np.dot(ico3.area, dens))
 
 
+def test_energy_resolves_tiny_gaps(ico3, s2):
+    # E(pi(c + eps u)) = eps^2 * 1/2 sum u.Ku + O(eps^4) near a constant c.
+    # The edge-difference form meets this to ~1e-15 at eps = 1e-8; the
+    # algebraically equal 1/2 sum f.Kf cancels O(1) terms and is off by O(1).
+    c = constant_map(ico3, s2)
+    u = random_tangent_field(c, stream(0, "energy-resolution")).values
+    eps = 1e-8
+    f_eps = MapField(s2.project_to_target(c.values + eps * u), s2, ico3)
+    quad = 0.5 * float(np.sum(u * (ico3.stiffness @ u)))
+    assert abs(energy(f_eps) / (eps**2 * quad) - 1.0) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # tension
 

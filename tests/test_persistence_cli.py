@@ -108,6 +108,25 @@ def test_checkpoint_nan_value_rejected(ico2, s2, tmp_path):
         load_checkpoint(str(path))
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("mesh", {"kind": "icosphere"}),  # no level: TypeError in the builder
+        ("target", {"kind": "sphere"}),  # no ambient_dim: KeyError
+        ("mesh", "x"),  # not a dict: AttributeError
+    ],
+    ids=["mesh-without-level", "target-without-ambient-dim", "mesh-not-a-dict"],
+)
+def test_checkpoint_bad_spec_is_parse_error(ico2, s2, tmp_path, field, bad):
+    path = tmp_path / "ck.json"
+    save_checkpoint(constant_map(ico2, s2), {}, str(path))
+    payload = json.loads(path.read_text())
+    payload[field] = bad
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CheckpointParseError):
+        load_checkpoint(str(path))
+
+
 def test_checkpoint_spec_mismatch(ico2, ico3, s2, tmp_path):
     f = constant_map(ico2, s2)
     path = tmp_path / "ck.json"
@@ -448,6 +467,25 @@ def test_cli_checkpoint_mesh_mismatch_exit_2(tmp_path, ico3, s2):
     )
     path = write_cfg(tmp_path, cfg)
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize(
+    "initial_map, mesh",
+    [
+        ("kind = constant\npoint = 0, 0, 0", None),  # at the sphere's centre
+        ("kind = constant\npoint = 1, 0", None),  # R^2 point for an S^2 target
+        ("kind = identity_sphere", "kind = circle\nn = 32"),
+    ],
+    ids=["point-at-centre", "point-wrong-dimension", "identity-on-circle"],
+)
+def test_cli_bad_initial_map_exit_2(tmp_path, capsys, initial_map, mesh):
+    cfg = BASE_CFG.format(analyses="").replace(
+        "kind = perturbed_constant\namplitude = 0.1", initial_map
+    )
+    if mesh is not None:
+        cfg = cfg.replace("kind = icosphere\nlevel = 2", mesh)
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "rejected" in capsys.readouterr().err
 
 
 def test_cli_validate_exponents_subcommand(capsys):

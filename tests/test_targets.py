@@ -139,7 +139,7 @@ def test_projector_is_i_minus_yyt_on_sphere():
     y = random_on_target(s, rng, 20)
     P = s.tangent_projector(y)
     expect = np.eye(3) - np.einsum("vi,vj->vij", y, y)
-    assert np.allclose(P, expect, atol=1e-14)
+    assert np.array_equal(P, expect)
 
 
 def test_projector_matches_fd_jacobian_torus():
@@ -173,6 +173,18 @@ def test_projector_kills_normals_fixes_tangents():
         normal = z - tangent
         assert np.max(np.abs(np.einsum("vij,vj->vi", P, tangent) - tangent)) <= 1e-12
         assert np.max(np.abs(np.einsum("vij,vj->vi", P, normal))) <= 1e-12
+        # the closed form dpi(y) v that P is built from
+        t = target.tangent_project(y, z)
+        size = np.linalg.norm(z, axis=-1)
+        assert np.all(np.linalg.norm(t - tangent, axis=-1) <= 1e-15 * size)
+        assert np.max(np.abs(target.tangent_project(y, t) - t)) <= 1e-12
+        assert np.max(np.abs(target.tangent_project(y, normal))) <= 1e-12
+        # chart_pull's shape: y (V, 1, n) against k vectors per vertex (V, k, n)
+        frames = rng.standard_normal((y.shape[0], 3, target.ambient_dim))
+        batched = target.tangent_project(y[:, None, :], frames)
+        assert batched.shape == frames.shape
+        for j in range(3):
+            assert np.array_equal(batched[:, j], target.tangent_project(y, frames[:, j]))
 
 
 def test_projector_requires_on_target():
