@@ -10,7 +10,6 @@ from .errors import ChartRadiusExceeded, NewtonDivergence
 from .fields import MapField, TangentField, map_sup_distance, random_tangent_field
 from .meshes import sobolev_norm
 from .rng import stream
-from .targets import CHART_SAFETY
 from .energy import tangent_frames
 
 __all__ = ["chart_push", "chart_pull", "bilipschitz_estimate", "ChartReport"]
@@ -20,16 +19,11 @@ NEWTON_MAX_ITER = 50
 PULL_RESIDUAL_TOL = 1e-10
 
 
-def _chart_radius(f: MapField) -> float:
-    return f.target.tubular_radius() * CHART_SAFETY
-
-
 def chart_push(f: MapField, u: TangentField) -> MapField:
     """Phi_f(u) = pi(f + u), vertexwise."""
-    if u.linf() >= _chart_radius(f):
-        raise ChartRadiusExceeded(
-            f"|u|_inf = {u.linf():.3e} >= {_chart_radius(f):.3e}"
-        )
+    delta = f.target.chart_radius()
+    if u.linf() >= delta:
+        raise ChartRadiusExceeded(f"|u|_inf = {u.linf():.3e} >= {delta:.3e}")
     pushed = f.target.project_to_target(f.values + u.values)
     return MapField(pushed, f.target, f.mesh)
 
@@ -43,7 +37,7 @@ def chart_pull(
     halved whenever the vertex residual grows.  Uniqueness inside the safe
     chart radius follows from the local diffeomorphism property.
     """
-    if map_sup_distance(f, f1) >= _chart_radius(f):
+    if map_sup_distance(f, f1) >= f.target.chart_radius():
         raise ChartRadiusExceeded("maps too far apart to share a chart")
     tgt = f.target
     frames = tangent_frames(tgt, f.values)  # (V, n, dN)
@@ -119,10 +113,9 @@ def bilipschitz_estimate(
     For each sample, compares |u|_{W^{k,p}} with |f - Phi_f(u)|_{W^{k,p}};
     the estimate is max(max ratio, 1/min ratio) >= 1.
     """
-    if radius >= _chart_radius(f):
-        raise ChartRadiusExceeded(
-            f"radius {radius:.3e} >= {_chart_radius(f):.3e}"
-        )
+    delta = f.target.chart_radius()
+    if radius >= delta:
+        raise ChartRadiusExceeded(f"radius {radius:.3e} >= {delta:.3e}")
     k, p = norm
     rng = stream(seed, "chart-bilipschitz")
     mesh = f.mesh
@@ -136,8 +129,8 @@ def bilipschitz_estimate(
         if n_u == 0.0:
             continue
         u.values *= radius * rng.uniform(0.1, 1.0) / n_u
-        if u.linf() >= _chart_radius(f):
-            u.values *= 0.5 * _chart_radius(f) / u.linf()
+        if u.linf() >= delta:
+            u.values *= 0.5 * delta / u.linf()
         f1 = chart_push(f, u)
         n_u = sobolev_norm(mesh, u.values, k, p)
         n_d = sobolev_norm(mesh, f.values - f1.values, k, p)

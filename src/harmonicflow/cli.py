@@ -30,9 +30,10 @@ from . import __version__
 from . import lojasiewicz as loja
 from .energy import hessian_matrix, hessian_spectrum
 from .charts import bilipschitz_estimate
-from .checkpoint import export_trace, load_checkpoint, save_checkpoint, write_json
+from .checkpoint import export_trace, save_checkpoint, write_json
 from .config import (
     ANALYSES,
+    INITIAL_MAP_KINDS,
     Scenario,
     flow_control_from_config,
     mesh_spec_from_config,
@@ -46,20 +47,14 @@ from .errors import (
     HarmonicFlowError,
     InadmissibleExponents,
     InvalidSpec,
+    NotOnTarget,
     OutsideTubularNeighborhood,
     ShapeMismatch,
     SpecMismatch,
 )
-from .fields import (
-    MapField,
-    constant_map,
-    degree_circle_map,
-    identity_sphere_map,
-    perturbed_constant_map,
-)
+from .fields import MapField
 from .flow import run_flow
 from .meshes import build_source, sobolev_multiplication_probe
-from .rng import stream
 from .targets import build_target
 
 OUTPUT_ROOT_ENV = "HARMONICFLOW_OUT"
@@ -75,26 +70,14 @@ CONFIG_ERRORS = (
 
 
 def _build_initial_map(scn: Scenario, mesh, target) -> MapField:
-    """The scenario's initial map.  A point or kind that does not fit the mesh
-    and target is an input error (ConfigError), not a numerical failure."""
-    im = scn.initial_map
-    kind = im["kind"]
+    """The scenario's initial map.  A point, kind or checkpoint that does not
+    fit the mesh and target, or lies off the target, is an input error
+    (ConfigError), not a numerical failure."""
+    kind = scn.initial_map["kind"]
     try:
-        if kind == "constant":
-            return constant_map(mesh, target, im["point"])
-        if kind == "identity_sphere":
-            return identity_sphere_map(mesh, target)
-        if kind == "degree_circle":
-            return degree_circle_map(mesh, target, im["k"])
-        if kind == "perturbed_constant":
-            rng = stream(scn.seed, "initial-map")
-            return perturbed_constant_map(mesh, target, im["amplitude"], rng, im["point"])
-        if kind == "from_checkpoint":
-            f, _ = load_checkpoint(im["path"], mesh=mesh, target=target)
-            return f
-    except (OutsideTubularNeighborhood, ShapeMismatch) as exc:
+        return INITIAL_MAP_KINDS[kind](mesh, target, scn.initial_map, scn.seed)
+    except (OutsideTubularNeighborhood, ShapeMismatch, NotOnTarget) as exc:
         raise ConfigError(f"[initial_map] kind = {kind}: {exc}") from exc
-    raise ConfigError(f"unknown initial map kind {kind!r}")
 
 
 class _Run:

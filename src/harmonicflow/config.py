@@ -6,10 +6,13 @@ import configparser
 import math
 from dataclasses import dataclass, field, fields
 
+from .checkpoint import load_checkpoint
 from .errors import ConfigError
+from .fields import constant_map, degree_circle_map, identity_sphere_map, perturbed_constant_map
 from .flow import FlowControl
 from .lojasiewicz import VARIANTS
 from .meshes import FLAT_TORUS_SIDE, MESH_KINDS
+from .rng import stream
 from .targets import TARGET_KINDS
 
 ANALYSES = ("flow", "loja-fit", "hessian-spec", "verify", "chart-audit", "mult-probe")
@@ -60,13 +63,18 @@ def _one_of(choices):
     return parse
 
 
-INITIAL_MAP_KINDS = (
-    "constant",
-    "identity_sphere",
-    "degree_circle",
-    "perturbed_constant",
-    "from_checkpoint",
-)
+# [initial_map] kind -> builder(mesh, target, section, seed) of the map
+INITIAL_MAP_KINDS = {
+    "constant": lambda mesh, target, im, seed: constant_map(mesh, target, im["point"]),
+    "identity_sphere": lambda mesh, target, im, seed: identity_sphere_map(mesh, target),
+    "degree_circle": lambda mesh, target, im, seed: degree_circle_map(mesh, target, im["k"]),
+    "perturbed_constant": lambda mesh, target, im, seed: perturbed_constant_map(
+        mesh, target, im["amplitude"], stream(seed, "initial-map"), im["point"]
+    ),
+    "from_checkpoint": lambda mesh, target, im, seed: load_checkpoint(
+        im["path"], mesh=mesh, target=target
+    )[0],
+}
 
 _FLOW = FlowControl()
 

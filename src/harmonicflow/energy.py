@@ -25,8 +25,8 @@ import scipy.sparse.linalg as spla
 
 from .errors import ChartRadiusExceeded, EigensolveFailure
 from .fields import MapField, TangentField, map_sup_distance
-from .meshes import energy_density, l2_inner, l2_norm
-from .targets import CHART_SAFETY, EmbeddedTarget
+from .meshes import energy_density, l2_inner, l2_norm, laplace_beltrami_apply
+from .targets import EmbeddedTarget
 
 __all__ = [
     "energy",
@@ -53,13 +53,10 @@ def energy(f: MapField) -> float:
     return 0.5 * float(np.dot(f.mesh.area, dens))
 
 
-def _laplacian_values(f: MapField) -> np.ndarray:
-    return (f.mesh.stiffness @ f.values) / f.mesh.area[:, None]
-
-
 def tension(f: MapField) -> TangentField:
     """M(f) = dpi(f) Delta f, the L2 gradient of the energy."""
-    return TangentField(f.target.tangent_project(f.values, _laplacian_values(f)), f)
+    lap = laplace_beltrami_apply(f.mesh, f.values)
+    return TangentField(f.target.tangent_project(f.values, lap), f)
 
 
 def grad_l2_norm(f: MapField) -> float:
@@ -92,14 +89,14 @@ def tension_via_sff(f: MapField) -> TangentField:
     The raw difference carries the O(h^2) normal defect of the discrete
     Laplacian, so tangency is not enforced on the result.
     """
-    lap = _laplacian_values(f)
+    lap = laplace_beltrami_apply(f.mesh, f.values)
     return TangentField(lap - _sff_contraction(f), f, check=False)
 
 
 def gradient_pairing_check(f: MapField, u: TangentField, h_step: float) -> float:
     """|centered FD of t -> E(pi(f + t u)) at 0  -  (u, M(f))_L2|."""
     sup = u.linf()
-    delta = f.target.tubular_radius() * CHART_SAFETY
+    delta = f.target.chart_radius()
     if h_step * sup >= delta:
         raise ChartRadiusExceeded(
             f"h_step * |u|_inf = {h_step * sup:.3e} >= {delta:.3e}"
@@ -182,7 +179,7 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     F = (B.T @ Kn @ B).tocsr()
 
     # curvature block: a_x < d2pi(e_i, e_j), Delta f >
-    lap = _laplacian_values(f)
+    lap = laplace_beltrami_apply(f.mesh, f.values)
     S = np.empty((V, dN, dN))
     for i in range(dN):
         for j in range(i, dN):
@@ -290,8 +287,8 @@ def hessian_spectrum(
 
 def hessian_apply(f: MapField, v: TangentField) -> TangentField:
     """H(f) v = dpi(f) Delta v + tangent representative of <d2pi(f)(v, .), Delta f>."""
-    lap_v = (f.mesh.stiffness @ v.values) / f.mesh.area[:, None]
-    lap_f = _laplacian_values(f)
+    lap_v = laplace_beltrami_apply(f.mesh, v.values)
+    lap_f = laplace_beltrami_apply(f.mesh, f.values)
     n = f.target.ambient_dim
     g = np.empty_like(f.values)
     eye = np.eye(n)
@@ -305,7 +302,7 @@ def hessian_apply(f: MapField, v: TangentField) -> TangentField:
 
 def tension_fixed_chart(f_inf: MapField, f: MapField) -> TangentField:
     """dpi(f_inf) M(f): the gradient read in the fixed chart at f_inf."""
-    delta = f.target.tubular_radius() * CHART_SAFETY
+    delta = f.target.chart_radius()
     if map_sup_distance(f, f_inf) >= delta:
         raise ChartRadiusExceeded("maps too far apart for a common chart")
     m = tension(f).values

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ChartRadiusExceeded, InsufficientSamples
 from .fields import MapField, TangentField
 from .meshes import l2_norm, sobolev_norm
-from .targets import CHART_SAFETY
 from .energy import energy, tension
 
 __all__ = ["FlowControl", "FlowSample", "FlowTrace", "flow_step", "run_flow",
@@ -76,7 +75,7 @@ def flow_step(f: MapField, dt: float) -> MapField:
 def _step_with(f: MapField, m: TangentField, dt: float) -> MapField:
     if dt <= 0:
         raise ChartRadiusExceeded("dt must be positive")
-    delta = f.target.tubular_radius() * CHART_SAFETY
+    delta = f.target.chart_radius()
     if dt * m.linf() >= delta:
         raise ChartRadiusExceeded(
             f"dt * |M|_inf = {dt * m.linf():.3e} >= {delta:.3e}"
@@ -97,7 +96,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     accepted = 0
     last_dt = 0.0
     e_cur = energy(f)
-    delta = f0.target.tubular_radius() * CHART_SAFETY
+    delta = f0.target.chart_radius()
 
     while True:
         m = tension(f)

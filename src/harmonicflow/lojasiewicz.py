@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .fields import MapField, random_tangent_field
 from .flow import FlowControl, FlowTrace
-from .meshes import l2_inner, l2_norm, lp_norm, mode_basis, sobolev_norm
+from .meshes import SourceMesh, l2_norm, lp_norm, mode_basis, sobolev_norm
 from .rng import stream
 
 __all__ = [
@@ -131,30 +132,43 @@ def sample_neighborhood(
     return out
 
 
-def gradient_dual_norm(f: MapField, p: float, seed: int = 0, probes: int = 32) -> float:
-    """Discrete stand-in for |M(f)| in W^{-1,p'}: sup of (M, v) / |v|_{W^{1,p'}}
-    over a band-limited test family."""
-    m = tension(f).values
-    mesh = f.mesh
-    pprime = p / (p - 1.0)
+def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable[[np.ndarray], float]:
+    """|M| in the discrete W^{k-2,p} family, as a function of the tension
+    values M: L^p for k = 2; for k = 1 the dual-norm stand-in, the sup of
+    (M, v) / |v|_{W^{1,p'}} over a band-limited test family built here, once.
+
+    The test fields are v = basis @ G over the mode basis: each mode in each
+    ambient component, then 32 seeded probes.  Their pairings with M are
+    G contracted with basis^T (area M).
+    """
+    if k == 2:
+        return lambda m: lp_norm(mesh, m, p)
+    if k != 1:
+        raise UnsupportedOrder(f"gradient norm family implemented for k in (1, 2), got {k}")
     basis = mode_basis(mesh)
-    rng = stream(seed, "dual-norm")
-    best = 0.0
-    n = f.target.ambient_dim
-    tests = []
-    for j in range(basis.shape[1]):
-        for c in range(n):
-            v = np.zeros((mesh.vertex_count, n))
-            v[:, c] = basis[:, j]
-            tests.append(v)
-    for _ in range(probes):
-        tests.append(basis @ rng.standard_normal((basis.shape[1], n)))
-    for v in tests:
-        nv = sobolev_norm(mesh, v, 1, pprime)
-        if nv == 0.0:
-            continue
-        best = max(best, abs(l2_inner(mesh, m, v)) / nv)
-    return best
+    modes = basis.shape[1]
+    coeffs = np.concatenate([
+        np.eye(modes * n).reshape(modes * n, modes, n),
+        stream(0, "dual-norm").standard_normal((32, modes, n)),
+    ])
+    # one field at a time: stacking them all in one product costs memory
+    norms = np.array([sobolev_norm(mesh, basis @ g, 1, p / (p - 1.0)) for g in coeffs])
+
+    def dual_norm(m: np.ndarray) -> float:
+        pairings = np.tensordot(coeffs, basis.T @ (mesh.area[:, None] * m), 2)
+        return float(np.max(np.abs(pairings) / norms))
+
+    return dual_norm
+
+
+def gradient_family_norm(f: MapField, k: int, p: float) -> float:
+    """|M(f)| in the discrete W^{k-2,p} family (see _wk_norm)."""
+    return _wk_norm(f.mesh, f.target.ambient_dim, k, p)(tension(f).values)
+
+
+def gradient_dual_norm(f: MapField, p: float) -> float:
+    """Discrete stand-in for |M(f)| in W^{-1,p'}."""
+    return gradient_family_norm(f, 1, p)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +194,6 @@ class InequalityReport:
         }
 
 
-def gradient_family_norm(f: MapField, k: int, p: float) -> float:
-    """|M(f)| in the discrete W^{k-2,p} family: L^p for k = 2, the dual-norm
-    stand-in for k = 1."""
-    if k == 2:
-        return lp_norm(f.mesh, tension(f).values, p)
-    if k == 1:
-        return gradient_dual_norm(f, p)
-    raise UnsupportedOrder(f"gradient norm family implemented for k in (1, 2), got {k}")
-
-
 def verify_inequality(
     samples: list[MapField],
     f_inf: MapField,
@@ -200,16 +204,18 @@ def verify_inequality(
     dual_p: float = 2.0,
 ) -> InequalityReport:
     """Per-sample table of |M(f)| versus Z |E(f) - E(f_inf)|^theta."""
+    mesh = f_inf.mesh
+    if norm_used == "l2":
+        grad_norm = lambda m: l2_norm(mesh, m)
+    elif norm_used == "wk_minus_2_p":
+        grad_norm = _wk_norm(mesh, f_inf.target.ambient_dim, k, dual_p)
+    else:
+        raise ValueError(f"unknown norm_used {norm_used!r}")
     e_inf = energy(f_inf)
     rows = []
     for f in samples:
         gap = abs(energy(f) - e_inf)
-        if norm_used == "l2":
-            gn = l2_norm(f.mesh, tension(f).values)
-        elif norm_used == "wk_minus_2_p":
-            gn = gradient_family_norm(f, k, dual_p)
-        else:
-            raise ValueError(f"unknown norm_used {norm_used!r}")
+        gn = grad_norm(tension(f).values)
         ratio = gn / gap**theta if gap > 0 else float("inf")
         rows.append((gap, gn, ratio))
     margins = [gn - z * gap**theta for gap, gn, _ in rows]

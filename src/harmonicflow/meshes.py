@@ -53,7 +53,6 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SourceMesh:
-    refinement_level: int
     points: np.ndarray          # parameter/embedding coords per vertex
     area: np.ndarray            # lumped mass per vertex, (V,)
     stiffness: sp.csr_matrix    # K, symmetric PSD, K 1 = 0 bitwise
@@ -124,7 +123,6 @@ def build_circle(n: int) -> SourceMesh:
     )
 
     return SourceMesh(
-        refinement_level=n,
         points=theta[:, None],
         area=area,
         stiffness=K,
@@ -169,7 +167,6 @@ def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = 
     D, scatter = _edge_diff(ei, ej, ew, V)
 
     return SourceMesh(
-        refinement_level=min(nu, nv),
         points=points,
         area=area,
         stiffness=K,
@@ -319,7 +316,6 @@ def build_icosphere(level: int) -> SourceMesh:
     )
 
     return SourceMesh(
-        refinement_level=level,
         points=verts,
         area=area,
         stiffness=K,
@@ -385,12 +381,6 @@ def l2_norm(mesh: SourceMesh, u: np.ndarray) -> float:
     return math.sqrt(max(l2_inner(mesh, u, u), 0.0))
 
 
-def _grad_magnitude(mesh: SourceMesh, comp: np.ndarray) -> np.ndarray:
-    """Pointwise |grad f| for one scalar component."""
-    df = mesh.diff @ comp
-    return np.sqrt(np.maximum(mesh.diff_scatter @ (df * df) / mesh.area, 0.0))
-
-
 def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: (sum_j integral |grad^j f|^p)^(1/p).
 
@@ -403,15 +393,14 @@ def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float) -> float:
         raise InvalidExponents(f"p must be >= 1, got {p}")
     f = _check_field(mesh, f)
     comps = f[:, None] if f.ndim == 1 else f
-    total = 0.0
-    for c in range(comps.shape[1]):
-        g = comps[:, c]
-        total += float(np.dot(mesh.area, np.abs(g) ** p))
-        if k >= 1:
-            total += float(np.dot(mesh.area, _grad_magnitude(mesh, g) ** p))
-        if k >= 2:
-            lap = (mesh.stiffness @ g) / mesh.area
-            total += float(np.dot(mesh.area, np.abs(lap) ** p))
+    terms = [comps]
+    if k >= 1:  # pointwise |grad f_c|
+        df = mesh.diff @ comps
+        grad_sq = mesh.diff_scatter @ (df * df) / mesh.area[:, None]
+        terms.append(np.sqrt(np.maximum(grad_sq, 0.0)))
+    if k >= 2:
+        terms.append(laplace_beltrami_apply(mesh, comps))
+    total = sum(float(np.sum(mesh.area @ np.abs(t) ** p)) for t in terms)
     return total ** (1.0 / p)
 
 

@@ -76,6 +76,10 @@ class EmbeddedTarget:
     def tubular_radius(self) -> float:
         raise NotImplementedError
 
+    def chart_radius(self) -> float:
+        """Radius inside which chart operations and flow steps stay."""
+        return self.tubular_radius() * CHART_SAFETY
+
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 

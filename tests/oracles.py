@@ -75,3 +75,32 @@ def linear_fit_r2(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     return float(coef[0]), float(coef[1]), 1.0 - ss_res / max(ss_tot, 1e-300)
+
+
+def dual_norm_per_field(mesh, m: np.ndarray, p: float, probes: int = 32) -> float:
+    """Dual-norm stand-in for tension values m, one test field at a time.
+
+    The sup of |(m, v)_L2| / |v|_{W^{1,p'}} over the band-limited family the
+    library uses (each mode in each ambient component, then ``probes`` seeded
+    mode combinations), with every field built and paired in full.
+    """
+    from harmonicflow.meshes import l2_inner, mode_basis, sobolev_norm
+    from harmonicflow.rng import stream
+
+    basis = mode_basis(mesh)
+    n = m.shape[1]
+    rng = stream(0, "dual-norm")
+    tests = []
+    for j in range(basis.shape[1]):
+        for c in range(n):
+            v = np.zeros((mesh.vertex_count, n))
+            v[:, c] = basis[:, j]
+            tests.append(v)
+    for _ in range(probes):
+        tests.append(basis @ rng.standard_normal((basis.shape[1], n)))
+    best = 0.0
+    for v in tests:
+        nv = sobolev_norm(mesh, v, 1, p / (p - 1.0))
+        if nv > 0.0:
+            best = max(best, abs(l2_inner(mesh, m, v)) / nv)
+    return best

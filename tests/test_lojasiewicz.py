@@ -6,6 +6,8 @@ import pytest
 from harmonicflow import (
     FlowControl,
     MapField,
+    TorusOfRevolution,
+    UnitSphere,
     build_circle,
     constant_map,
     convergence_classifier,
@@ -151,6 +153,25 @@ def test_dual_norm_bounded_by_l2(ico2, s2):
     f = perturbed_constant_map(ico2, s2, 0.1, stream(4, "dual"))
     dual = gradient_dual_norm(f, p=3.0)
     assert 0.0 < dual <= l2_norm(ico2, tension(f).values)
+
+
+@pytest.mark.parametrize(
+    "target", [UnitSphere(3), TorusOfRevolution(2.0, 0.5)], ids=["sphere", "torus_rev"]
+)
+def test_dual_norm_matches_per_field_reference(ico2, target):
+    # the family is built once per verify; each field paired in full agrees
+    from harmonicflow import tension
+    from oracles import dual_norm_per_field
+
+    f_inf = constant_map(ico2, target)
+    samples = sample_neighborhood(f_inf, 0.1, 6, norm=(1, 3.0), seed=5)
+    ref = [dual_norm_per_field(ico2, tension(f).values, 3.0) for f in samples]
+    assert min(ref) > 0.0
+    for f, want in zip(samples, ref):
+        assert gradient_dual_norm(f, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+    rep = verify_inequality(samples, f_inf, 0.5, 0.9, "wk_minus_2_p", k=1, dual_p=3.0)
+    got = [gn for _, gn, _ in rep.rows]
+    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -200,6 +200,17 @@ def test_sobolev_norm_zero_monotone_and_lp(ico2):
         sobolev_norm(ico2, f, 1, 0.5)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_sobolev_norm_of_vector_field_sums_component_powers(circle256, torus16, ico3, k):
+    # (sum_c |f_c|^p)^(1/p): the components enter only through their own norms
+    p = 3.0
+    rng = stream(k, "test-sob-vector")
+    for mesh in (circle256, torus16, ico3):
+        f = rng.standard_normal((mesh.vertex_count, 3)) * np.array([1.0, 1e-3, 10.0])
+        per_comp = sum(sobolev_norm(mesh, f[:, c], k, p) ** p for c in range(3))
+        assert sobolev_norm(mesh, f, k, p) == pytest.approx(per_comp ** (1 / p), rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # energy density
 

@@ -469,6 +469,20 @@ def test_cli_checkpoint_mesh_mismatch_exit_2(tmp_path, ico3, s2):
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_cli_off_target_checkpoint_exit_2(tmp_path, capsys, ico2, s2):
+    # a checkpoint problem, not a numerical failure
+    ck = tmp_path / "start.json"
+    save_checkpoint(constant_map(ico2, s2), {"step": 0}, str(ck))
+    payload = json.loads(ck.read_text())
+    payload["values"][0] = ["1.5", "0", "0"]
+    ck.write_text(json.dumps(payload))
+    cfg = BASE_CFG.format(analyses="flow").replace(
+        "kind = perturbed_constant\namplitude = 0.1", f"kind = from_checkpoint\npath = {ck}"
+    )
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "rejected" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "initial_map, mesh",
     [
