@@ -24,8 +24,7 @@ def chart_push(f: MapField, u: TangentField) -> MapField:
     delta = f.target.chart_radius()
     if u.linf() >= delta:
         raise ChartRadiusExceeded(f"|u|_inf = {u.linf():.3e} >= {delta:.3e}")
-    pushed = f.target.project_to_target(f.values + u.values)
-    return MapField(pushed, f.target, f.mesh)
+    return MapField.project(f.values + u.values, f.target, f.mesh)
 
 
 def chart_pull(

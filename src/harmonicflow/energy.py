@@ -55,8 +55,7 @@ def energy(f: MapField) -> float:
 
 def tension(f: MapField) -> TangentField:
     """M(f) = dpi(f) Delta f, the L2 gradient of the energy."""
-    lap = laplace_beltrami_apply(f.mesh, f.values)
-    return TangentField(f.target.tangent_project(f.values, lap), f)
+    return TangentField.project(laplace_beltrami_apply(f.mesh, f.values), f)
 
 
 def grad_l2_norm(f: MapField) -> float:
@@ -77,20 +76,20 @@ def _sff_contraction(f: MapField) -> np.ndarray:
     d = f.values[cols] - f.values[rows]
     base = f.values[rows]
     td = f.target.tangent_project(base, d)
-    a_vals = f.target.second_fundamental_form(base, td, td, check=False)
+    a_vals = f.target.second_fundamental_form(base, td, td)
     out = np.zeros_like(f.values)
     np.add.at(out, rows, 0.5 * w[:, None] * a_vals)
     return out / f.mesh.area[:, None]
 
 
-def tension_via_sff(f: MapField) -> TangentField:
+def tension_via_sff(f: MapField) -> np.ndarray:
     """M(f) = Delta f - A(f)(df, df); agrees with tension(f) as the mesh refines.
 
-    The raw difference carries the O(h^2) normal defect of the discrete
-    Laplacian, so tangency is not enforced on the result.
+    Returned as the raw ambient array: the difference carries the O(h^2)
+    normal defect of the discrete Laplacian, so it is not a tangent field.
     """
     lap = laplace_beltrami_apply(f.mesh, f.values)
-    return TangentField(lap - _sff_contraction(f), f, check=False)
+    return lap - _sff_contraction(f)
 
 
 def gradient_pairing_check(f: MapField, u: TangentField, h_step: float) -> float:
@@ -104,8 +103,7 @@ def gradient_pairing_check(f: MapField, u: TangentField, h_step: float) -> float
     tgt, mesh = f.target, f.mesh
 
     def e_at(t: float) -> float:
-        g = MapField(tgt.project_to_target(f.values + t * u.values), tgt, mesh)
-        return energy(g)
+        return energy(MapField.project(f.values + t * u.values, tgt, mesh))
 
     fd = (e_at(h_step) - e_at(-h_step)) / (2.0 * h_step)
     return abs(fd - l2_inner(mesh, u.values, tension(f).values))
@@ -120,7 +118,7 @@ def tangent_frames(target: EmbeddedTarget, values: np.ndarray) -> np.ndarray:
     Columns of the projector are orthogonalized with a deterministic pivot
     order: largest remaining diagonal first, ties broken by lowest index.
     """
-    P = target.tangent_projector(values, check=False)
+    P = target.tangent_projector(values)
     V, n = values.shape
     dN = target.intrinsic_dim
     Q = P.copy()
@@ -156,25 +154,21 @@ class HessianOperator:
         return self.form.toarray() * np.outer(s, s)
 
 
+def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix with the (V, r, c) stack ``blocks`` on its diagonal."""
+    V, r, c = blocks.shape
+    return sp.bsr_matrix(
+        (blocks, np.arange(V), np.arange(V + 1)), shape=(V * r, V * c)
+    ).tocsr()
+
+
 def hessian_matrix(f: MapField) -> HessianOperator:
     """Assemble the Hessian bilinear form on the discrete tangent bundle."""
     V, n = f.values.shape
     dN = f.target.intrinsic_dim
     frames = tangent_frames(f.target, f.values)
 
-    # frame injection B : coefficients -> ambient (sparse block diagonal)
-    rows = (np.arange(V)[:, None, None] * n + np.arange(n)[None, :, None])
-    cols = (np.arange(V)[:, None, None] * dN + np.arange(dN)[None, None, :])
-    B = sp.csr_matrix(
-        (
-            frames.ravel(),
-            (
-                np.broadcast_to(rows, frames.shape).ravel(),
-                np.broadcast_to(cols, frames.shape).ravel(),
-            ),
-        ),
-        shape=(V * n, V * dN),
-    )
+    B = _block_diagonal(frames)  # frame injection: coefficients -> ambient
     Kn = sp.kron(f.mesh.stiffness, sp.identity(n, format="csr"), format="csr")
     F = (B.T @ Kn @ B).tocsr()
 
@@ -184,16 +178,10 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     for i in range(dN):
         for j in range(i, dN):
             d2 = f.target.ambient_hessian_of_projection(
-                f.values, frames[:, :, i], frames[:, :, j], check=False
+                f.values, frames[:, :, i], frames[:, :, j]
             )
             S[:, i, j] = S[:, j, i] = f.mesh.area * np.einsum("vi,vi->v", d2, lap)
-    brow = (np.arange(V)[:, None, None] * dN + np.arange(dN)[None, :, None])
-    bcol = (np.arange(V)[:, None, None] * dN + np.arange(dN)[None, None, :])
-    F = F + sp.csr_matrix(
-        (S.ravel(), (np.broadcast_to(brow, S.shape).ravel(),
-                     np.broadcast_to(bcol, S.shape).ravel())),
-        shape=(V * dN, V * dN),
-    )
+    F = F + _block_diagonal(S)
 
     anti = F - F.T
     denom = spla.norm(F) if F.nnz else 1.0
@@ -226,11 +214,9 @@ class HessianSpectrum:
 DENSE_EIG_LIMIT = 3000
 
 
-def _largest_eigenvalue(op: HessianOperator) -> float:
-    s = 1.0 / np.sqrt(op.mass)
-    A = sp.diags(s) @ op.form @ sp.diags(s)
+def _largest_eigenvalue(A: sp.spmatrix) -> float:
     try:
-        v0 = np.cos(0.7 * np.arange(op.basis_dim))  # fixed deterministic start
+        v0 = np.cos(0.7 * np.arange(A.shape[0]))  # fixed deterministic start
         val = spla.eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)
         return float(val[0])
     except Exception as exc:  # pragma: no cover - arpack failure is exotic
@@ -258,13 +244,13 @@ def hessian_spectrum(
     else:
         k = min(n_modes, dim - 2)
         s = 1.0 / np.sqrt(op.mass)
-        A = (sp.diags(s) @ op.form @ sp.diags(s)).tocsc()
-        lam_max = _largest_eigenvalue(op)
+        A = sp.diags(s) @ op.form @ sp.diags(s)
+        lam_max = _largest_eigenvalue(A)
         sigma = -1e-6 * max(lam_max, 1.0)
         try:
             v0 = np.sin(1.3 * np.arange(dim)) + 0.5
             vals = spla.eigsh(
-                A, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+                A.tocsc(), k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
             )
         except Exception as exc:
             raise EigensolveFailure(str(exc)) from exc
@@ -294,10 +280,10 @@ def hessian_apply(f: MapField, v: TangentField) -> TangentField:
     eye = np.eye(n)
     for c in range(n):
         d2 = f.target.ambient_hessian_of_projection(
-            f.values, v.values, np.broadcast_to(eye[c], f.values.shape), check=False
+            f.values, v.values, np.broadcast_to(eye[c], f.values.shape)
         )
         g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
-    return TangentField(f.target.tangent_project(f.values, lap_v + g), f)
+    return TangentField.project(lap_v + g, f)
 
 
 def tension_fixed_chart(f_inf: MapField, f: MapField) -> TangentField:
@@ -305,5 +291,4 @@ def tension_fixed_chart(f_inf: MapField, f: MapField) -> TangentField:
     delta = f.target.chart_radius()
     if map_sup_distance(f, f_inf) >= delta:
         raise ChartRadiusExceeded("maps too far apart for a common chart")
-    m = tension(f).values
-    return TangentField(f_inf.target.tangent_project(f_inf.values, m), f_inf)
+    return TangentField.project(tension(f).values, f_inf)

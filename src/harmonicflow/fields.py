@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,9 +11,20 @@ from .meshes import SourceMesh, mode_basis
 from .targets import EmbeddedTarget
 
 
+def _unchecked(cls, **fields):
+    """An instance of the dataclass ``cls`` built without running its checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(eq=False)
 class MapField:
-    """Map f : M -> N stored as per-vertex ambient coordinates."""
+    """Map f : M -> N stored as per-vertex ambient coordinates.
+
+    The constructor checks the shape and that every value is on the target;
+    ``MapField.project`` builds pi(x), which is on the target by construction.
+    """
 
     values: np.ndarray
     target: EmbeddedTarget
@@ -28,17 +39,23 @@ class MapField:
             )
         self.target.require_on_target(self.values)
 
-    def copy(self) -> "MapField":
-        return MapField(self.values.copy(), self.target, self.mesh)
+    @classmethod
+    def project(cls, x: np.ndarray, target: EmbeddedTarget, mesh: SourceMesh) -> MapField:
+        """The map pi(x), vertexwise; not re-checked."""
+        values = target.project_to_target(x)
+        return _unchecked(cls, values=values, target=target, mesh=mesh)
 
 
 @dataclass(eq=False)
 class TangentField:
-    """Section u with u(x) in the tangent plane of N at f(x)."""
+    """Section u with u(x) in the tangent plane of N at f(x).
+
+    The constructor checks the shape and tangency; ``TangentField.project``
+    builds dpi(f) v, which is tangent by construction.
+    """
 
     values: np.ndarray
     base: MapField
-    check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -46,8 +63,13 @@ class TangentField:
             raise ShapeMismatch(
                 f"tangent values {self.values.shape} != base {self.base.values.shape}"
             )
-        if self.check:
-            self.base.target.require_tangent(self.base.values, self.values)
+        self.base.target.require_tangent(self.base.values, self.values)
+
+    @classmethod
+    def project(cls, v: np.ndarray, base: MapField) -> TangentField:
+        """The tangent part dpi(base) v of v along base; not re-checked."""
+        values = base.target.tangent_project(base.values, v)
+        return _unchecked(cls, values=values, base=base)
 
     def linf(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=1)))
@@ -85,7 +107,9 @@ def random_tangent_field(
     """Band-limited ambient field projected to the tangent planes along f."""
     basis = mode_basis(f.mesh)
     raw = basis @ rng.standard_normal((basis.shape[1], f.target.ambient_dim))
-    return TangentField(amplitude * f.target.tangent_project(f.values, raw), f)
+    u = TangentField.project(raw, f)
+    u.values *= amplitude
+    return u
 
 
 def perturbed_constant_map(
@@ -100,9 +124,7 @@ def perturbed_constant_map(
     u = random_tangent_field(f0, rng)
     sup = u.linf()
     scale = amplitude / sup if sup > 0 else 0.0
-    return MapField(
-        target.project_to_target(f0.values + scale * u.values), target, mesh
-    )
+    return MapField.project(f0.values + scale * u.values, target, mesh)
 
 
 def map_sup_distance(f: MapField, g: MapField) -> float:

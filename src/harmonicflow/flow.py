@@ -2,8 +2,10 @@
 
 Explicit Euler with per-vertex reprojection, f' = pi(f - dt M(f)), under an
 energy-decrease acceptance rule: a step is kept only if the energy does not
-increase (up to 1e-12 absolute slack), otherwise dt is halved.  Five
-consecutive acceptances grow dt by 1.25x, capped at 100 dt0.
+increase (up to 1e-12 absolute slack), otherwise dt is halved.  dt is also
+halved while dt |M|_inf reaches the chart radius; the flow ends with
+``step_collapse`` once dt falls below dt_min.  Five consecutive acceptances
+grow dt by 1.25x, capped at 100 dt0; radius halvings keep the streak.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class FlowTrace:
     samples: list[FlowSample] = field(default_factory=list)
     step_sizes: list[float] = field(default_factory=list)
     terminated_by: str = ""
-    termination_value: float = float("nan")
     checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
     final_values: np.ndarray | None = None
 
@@ -68,25 +69,27 @@ class FlowTrace:
 
 def flow_step(f: MapField, dt: float) -> MapField:
     """One projected Euler step; requires dt |M(f)|_inf inside the safe radius."""
-    m = tension(f)
-    return _step_with(f, m, dt)
-
-
-def _step_with(f: MapField, m: TangentField, dt: float) -> MapField:
     if dt <= 0:
         raise ChartRadiusExceeded("dt must be positive")
+    m = tension(f)
     delta = f.target.chart_radius()
     if dt * m.linf() >= delta:
         raise ChartRadiusExceeded(
             f"dt * |M|_inf = {dt * m.linf():.3e} >= {delta:.3e}"
         )
-    stepped = f.target.project_to_target(f.values - dt * m.values)
-    return MapField(stepped, f.target, f.mesh)
+    return _step_with(f, m, dt)
+
+
+def _step_with(f: MapField, m: TangentField, dt: float) -> MapField:
+    """pi(f - dt M), unguarded."""
+    return MapField.project(f.values - dt * m.values, f.target, f.mesh)
 
 
 def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     """Adaptive explicit flow; records every accepted step."""
     ctl = control or FlowControl()
+    if not ctl.dt0 > 0:  # NaN fails too
+        raise ChartRadiusExceeded("dt0 must be positive")
     trace = FlowTrace()
     f = f0
     t = 0.0
@@ -107,23 +110,19 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
 
         if gn <= ctl.grad_tol:
             trace.terminated_by = "grad_norm_below"
-            trace.termination_value = gn
             break
         if accepted >= ctl.max_steps:
             trace.terminated_by = "max_steps"
-            trace.termination_value = accepted
             break
         if t >= ctl.max_time:
             trace.terminated_by = "max_time"
-            trace.termination_value = t
             break
 
-        # keep the displacement inside the chart-safe radius
         sup = m.linf()
-        while sup > 0 and dt * sup >= delta and dt > ctl.dt_min:
-            dt *= 0.5
-        collapsed = False
-        while True:
+        while dt > 0 and dt >= ctl.dt_min:
+            if dt * sup >= delta:  # keep the displacement inside the chart radius
+                dt *= 0.5
+                continue
             candidate = _step_with(f, m, dt)
             e_new = energy(candidate)
             if e_new <= e_cur + ENERGY_SLACK:
@@ -140,12 +139,8 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
                 break
             streak = 0
             dt *= 0.5
-            if dt < ctl.dt_min:
-                collapsed = True
-                break
-        if collapsed:
+        else:  # no step accepted before dt fell below dt_min
             trace.terminated_by = "step_collapse"
-            trace.termination_value = dt
             break
 
     _fill_distances(trace, f, ctl)
@@ -155,17 +150,11 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
 
 def _fill_distances(trace: FlowTrace, f_final: MapField, ctl: FlowControl) -> None:
     """Distance to the limit in the configured norm, at checkpointed steps."""
-    if not trace.checkpoints:
-        return
     k, p = ctl.dist_norm
-    mesh = f_final.mesh
-    by_step = {step: vals for step, vals in trace.checkpoints}
-    accepted = 0
-    for sample in trace.samples:
-        if accepted in by_step:
-            diff = by_step[accepted] - f_final.values
-            sample.dist_to_limit = sobolev_norm(mesh, diff, k, p)
-        accepted += 1
+    for step, values in trace.checkpoints:
+        # sample i is the state after i accepted steps
+        diff = values - f_final.values
+        trace.samples[step].dist_to_limit = sobolev_norm(f_final.mesh, diff, k, p)
 
 
 def dissipation_check(trace: FlowTrace) -> float:

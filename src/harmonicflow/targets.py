@@ -109,9 +109,12 @@ class EmbeddedTarget:
         Single-valuedness is guaranteed inside the tube dist(x, N) < delta_0;
         the closed forms remain the true nearest-point projection everywhere
         off the medial set (sphere center, torus axis and core circle), so
-        the rejection is at the actual degeneration locus.
+        the rejection is at the actual degeneration locus.  Non-finite points
+        are rejected too, so every returned point is on the target.
         """
         x = np.asarray(x, dtype=float)
+        if not np.all(np.isfinite(x)):
+            raise OutsideTubularNeighborhood("non-finite point has no projection")
         margin = self._medial_margin(x)
         if np.any(margin <= 1e-12):
             raise OutsideTubularNeighborhood(
@@ -135,33 +138,30 @@ class EmbeddedTarget:
         if not worst <= tol:
             raise NonTangentInput(f"tangency residual {worst:.3e} > {tol:.1e}")
 
-    def tangent_projector(self, y: np.ndarray, check: bool = True) -> np.ndarray:
+    def tangent_projector(self, y: np.ndarray) -> np.ndarray:
         """Orthogonal projector onto T_y N, shape (..., n, n); row c is dpi(y) e_c."""
         y = np.asarray(y, dtype=float)
-        if check:
-            self.require_on_target(y)
+        self.require_on_target(y)
         return self.tangent_project(y[..., None, :], np.eye(self.ambient_dim))
 
     def ambient_hessian_of_projection(
-        self, y: np.ndarray, v: np.ndarray, w: np.ndarray, check: bool = True
+        self, y: np.ndarray, v: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
         """d2pi(y)(v, w) for ambient directions v, w at y on the target."""
         y = np.asarray(y, dtype=float)
-        if check:
-            self.require_on_target(y)
+        self.require_on_target(y)
         return self._d2_projection(y, np.asarray(v, float), np.asarray(w, float))
 
     def second_fundamental_form(
-        self, y: np.ndarray, v: np.ndarray, w: np.ndarray, check: bool = True
+        self, y: np.ndarray, v: np.ndarray, w: np.ndarray
     ) -> np.ndarray:
         """A(y)(v, w) = -d2pi(y)(v, w); normal-valued for tangent v, w."""
         y = np.asarray(y, dtype=float)
         v = np.asarray(v, dtype=float)
         w = np.asarray(w, dtype=float)
-        if check:
-            self.require_on_target(y)
-            self.require_tangent(y, v)
-            self.require_tangent(y, w)
+        self.require_on_target(y)
+        self.require_tangent(y, v)
+        self.require_tangent(y, w)
         return -self._d2_projection(y, v, w)
 
 

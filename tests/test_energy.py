@@ -121,7 +121,7 @@ def test_tension_identity_sphere_refines(ico3, ico4, s2):
 
 def test_tension_output_is_tangent(ico3, s2):
     f = near_identity_map(ico3, s2)
-    m = tension(f)  # constructor enforces tangency; also check the sharper bound
+    m = tension(f)  # tangent by construction (TangentField.project); check the bound
     P = s2.tangent_projector(f.values)
     resid = np.einsum("vij,vj->vi", P, m.values) - m.values
     assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12
@@ -132,7 +132,7 @@ def test_tension_output_is_tangent(ico3, s2):
 
 def test_tension_via_sff_constant_map(ico3, s2):
     m = tension_via_sff(constant_map(ico3, s2))
-    assert l2_norm(ico3, m.values) <= 1e-12
+    assert l2_norm(ico3, m) <= 1e-12
 
 
 def test_tension_via_sff_sphere_reduction(ico3, s2):
@@ -149,7 +149,7 @@ def test_tension_via_sff_sphere_reduction(ico3, s2):
     contraction /= ico3.area
     lap = (ico3.stiffness @ f.values) / ico3.area[:, None]
     expect = lap - contraction[:, None] * f.values
-    got = tension_via_sff(f).values
+    got = tension_via_sff(f)
     assert np.max(np.abs(got - expect)) <= 1e-12
 
 
@@ -158,7 +158,7 @@ def test_tension_formula_equivalence_refines(ico3, ico4, s2):
     for mesh in (ico3, ico4):
         f = near_identity_map(mesh, s2)
         t1 = tension(f).values
-        t2 = tension_via_sff(f).values
+        t2 = tension_via_sff(f)
         rels.append(l2_norm(mesh, t1 - t2) / l2_norm(mesh, t1))
     assert rels[1] <= 1e-2
     assert rels[1] < rels[0]

@@ -18,6 +18,7 @@ from harmonicflow import (
 )
 from harmonicflow.errors import ChartRadiusExceeded, InsufficientSamples
 from harmonicflow.flow import FlowSample, FlowTrace, _step_with
+from harmonicflow.targets import EmbeddedTarget
 from harmonicflow.meshes import l2_norm
 from harmonicflow.rng import stream
 
@@ -98,6 +99,38 @@ def test_step_collapse_termination(ico2, s2):
     ctl = FlowControl(dt0=0.2, dt_min=0.15, max_steps=10)
     tr = run_flow(f0, ctl)
     assert tr.terminated_by == "step_collapse"
+
+
+def test_radius_guard_at_dt_min_is_step_collapse(ico2, s2):
+    f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
+    # halving 4 -> 2 drops below dt_min while 2 |M|_inf is still outside the radius
+    assert 2.0 * tension(f0).linf() >= s2.chart_radius()
+    tr = run_flow(f0, FlowControl(dt0=4.0, dt_min=3.0))
+    assert tr.terminated_by == "step_collapse"
+    assert tr.step_sizes == []
+
+
+@pytest.mark.parametrize("dt0", [0.0, -1e-3, math.nan])
+def test_run_flow_rejects_non_positive_dt0(ico2, s2, dt0):
+    f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
+    with pytest.raises(ChartRadiusExceeded):
+        run_flow(f0, FlowControl(dt0=dt0))
+
+
+def test_run_flow_makes_no_per_candidate_checks(ico2, s2, monkeypatch):
+    f0 = perturbed_constant_map(ico2, s2, 0.1, stream(12, "flow"))
+    calls = []
+    for name in ("require_on_target", "require_tangent"):
+        original = getattr(EmbeddedTarget, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(EmbeddedTarget, name, counted)
+    tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=20))
+    assert len(tr.step_sizes) == 20
+    assert calls == []  # every candidate and tension is built by a projection
 
 
 def test_max_steps_termination(ico2, s2):

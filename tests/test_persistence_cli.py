@@ -353,6 +353,15 @@ def test_cli_flow_and_manifest_hashes(tmp_path):
     assert 0.4 <= fit["theta_hat"] <= 0.6
 
 
+def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
+    cfg = BASE_CFG.format(analyses="flow").replace("dt0 = 1e-5", "dt0 = 4\ndt_min = 3")
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "flow_summary.json").read_text())
+    assert summary["terminated_by"] == "step_collapse"
+    assert summary["accepted_steps"] == 0
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(analyses="") + "\ntypo = 1\n")
     assert cli_main(["run", path]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicflow import CliffordTorus, TorusOfRevolution, UnitSphere
+from harmonicflow import CliffordTorus, MapField, TangentField, TorusOfRevolution, UnitSphere
 from harmonicflow.errors import (
     InvalidSpec,
     NonTangentInput,
@@ -37,6 +37,30 @@ def test_sphere_projection_fixes_on_target_point():
     s = UnitSphere(3)
     x = np.array([0.6, 0.8, 0.0])
     assert np.allclose(s.project_to_target(x), x, atol=1e-15)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind + str(t.ambient_dim))
+def test_projection_rejects_non_finite(target, bad):
+    x = random_on_target(target, np.random.default_rng(0), count=4)
+    x[2, 0] = bad
+    with pytest.raises(OutsideTubularNeighborhood):
+        target.project_to_target(x)
+
+
+@pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind + str(t.ambient_dim))
+def test_projection_constructors_equal_checked_path(ico2, target):
+    rng = np.random.default_rng(1)
+    f = MapField(random_on_target(target, rng, ico2.vertex_count), target, ico2)
+    x = f.values + 0.05 * rng.standard_normal(f.values.shape)
+    g = MapField.project(x, target, ico2)
+    checked = MapField(target.project_to_target(x), target, ico2)
+    assert (g.target, g.mesh) == (target, ico2)
+    assert np.array_equal(g.values, checked.values)
+    v = rng.standard_normal(f.values.shape)
+    u = TangentField.project(v, f)
+    assert u.base is f
+    assert np.array_equal(u.values, TangentField(target.tangent_project(f.values, v), f).values)
 
 
 def test_torus_projection_example_and_brute_force():
