@@ -41,7 +41,7 @@ def main():
 
     trace = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
     f_inf = MapField(trace.final_values, s2, mesh)
-    print(f"flow: {trace.terminated_by} after {len(trace.step_sizes)} steps, "
+    print(f"flow: {trace.terminated_by} after {len(trace.samples) - 1} steps, "
           f"final energy {trace.energies()[-1]:.3e}")
 
     fit = fit_exponent(trace, f_inf)

@@ -17,7 +17,6 @@ from .meshes import (  # noqa: F401
     build_flat_torus,
     build_icosphere,
     build_source,
-    energy_density,
     l2_inner,
     laplace_beltrami_apply,
     lp_norm,
@@ -47,7 +46,7 @@ from .energy import (  # noqa: F401
     tension_via_sff,
 )
 from .charts import ChartReport, bilipschitz_estimate, chart_pull, chart_push  # noqa: F401
-from .flow import FlowControl, FlowTrace, dissipation_check, flow_step, run_flow  # noqa: F401
+from .flow import FlowControl, FlowTrace, dissipation_check, run_flow  # noqa: F401
 from .lojasiewicz import (  # noqa: F401
     ConvergenceVerdict,
     InequalityReport,

@@ -118,7 +118,7 @@ class _Run:
         save_checkpoint(
             self.f_inf,
             {
-                "step": len(self.trace.step_sizes),
+                "step": len(self.trace.samples) - 1,
                 "time": float(self.trace.times()[-1]),
                 "energy": float(self.trace.energies()[-1]),
             },
@@ -133,7 +133,7 @@ class _Run:
         write_json(
             {
                 "terminated_by": self.trace.terminated_by,
-                "accepted_steps": len(self.trace.step_sizes),
+                "accepted_steps": len(self.trace.samples) - 1,
                 "final_energy": float(self.trace.energies()[-1]),
                 "final_grad_norm": float(self.trace.grad_norms()[-1]),
             },

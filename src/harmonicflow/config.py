@@ -46,6 +46,13 @@ def _analyses(s: str) -> list[str]:
     return items
 
 
+def _positive_float(s: str) -> float:
+    v = float(s)
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError("must be finite and > 0")
+    return v
+
+
 def _opt_float(s: str) -> float | None:
     return None if s.strip().lower() == "auto" else float(s)
 
@@ -108,8 +115,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "path": (str, None),
     },
     "flow": {
-        "dt0": (float, _FLOW.dt0),
-        "dt_min": (float, _FLOW.dt_min),
+        "dt0": (_positive_float, _FLOW.dt0),
+        "dt_min": (_positive_float, _FLOW.dt_min),
         "max_steps": (int, _FLOW.max_steps),
         "max_time": (float, _FLOW.max_time),
         "grad_tol": (float, _FLOW.grad_tol),
@@ -126,7 +133,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "sigma": (float, 0.1),
         "count": (int, 32),
         "k": (int, 1),
-        "p": (float, 2.0),
+        "p": (float, 3.0),  # k = 1, p = 2 is inadmissible on every 2-D source
         "variant": (_one_of(VARIANTS), "l2"),
         "theta": (float, 0.5),
         "z": (float, 0.9),

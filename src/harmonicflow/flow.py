@@ -20,8 +20,7 @@ from .fields import MapField, TangentField
 from .meshes import l2_norm, sobolev_norm
 from .energy import energy, tension
 
-__all__ = ["FlowControl", "FlowSample", "FlowTrace", "flow_step", "run_flow",
-           "dissipation_check"]
+__all__ = ["FlowControl", "FlowSample", "FlowTrace", "run_flow", "dissipation_check"]
 
 ENERGY_SLACK = 1e-12
 GROW_FACTOR = 1.25
@@ -52,7 +51,6 @@ class FlowSample:
 @dataclass
 class FlowTrace:
     samples: list[FlowSample] = field(default_factory=list)
-    step_sizes: list[float] = field(default_factory=list)
     terminated_by: str = ""
     checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
     final_values: np.ndarray | None = None
@@ -67,26 +65,13 @@ class FlowTrace:
         return np.array([s.grad_norm_l2 for s in self.samples])
 
 
-def flow_step(f: MapField, dt: float) -> MapField:
-    """One projected Euler step; requires dt |M(f)|_inf inside the safe radius."""
-    if dt <= 0:
-        raise ChartRadiusExceeded("dt must be positive")
-    m = tension(f)
-    delta = f.target.chart_radius()
-    if dt * m.linf() >= delta:
-        raise ChartRadiusExceeded(
-            f"dt * |M|_inf = {dt * m.linf():.3e} >= {delta:.3e}"
-        )
-    return _step_with(f, m, dt)
-
-
 def _step_with(f: MapField, m: TangentField, dt: float) -> MapField:
-    """pi(f - dt M), unguarded."""
+    """pi(f - dt M), the projected Euler step; run_flow guards dt |M|_inf."""
     return MapField.project(f.values - dt * m.values, f.target, f.mesh)
 
 
 def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
-    """Adaptive explicit flow; records every accepted step."""
+    """Adaptive explicit flow; sample i is the state after i accepted steps."""
     ctl = control or FlowControl()
     if not ctl.dt0 > 0:  # NaN fails too
         raise ChartRadiusExceeded("dt0 must be positive")
@@ -132,7 +117,6 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
                 last_dt = dt
                 accepted += 1
                 streak += 1
-                trace.step_sizes.append(dt)
                 if streak >= GROW_AFTER:
                     dt = min(dt * GROW_FACTOR, dt_cap)
                     streak = 0

@@ -6,6 +6,7 @@ built to satisfy, for every vertex function f,
 
     f^T K f  =  sum_rows |D f|^2  =  integral of |grad f|^2,
 
+so the harmonic map energy is E(f) = 1/2 sum_rows |D f|^2 (energy.energy),
 with K symmetric positive semidefinite and K 1 = 0 holding bitwise (diagonal
 assembled as the negated off-diagonal row sum).  The Laplacian follows the
 nonnegative convention Delta = -div grad, applied as (K f) / area.
@@ -43,11 +44,9 @@ __all__ = [
     "l2_inner",
     "lp_norm",
     "sobolev_norm",
-    "energy_density",
     "mode_basis",
     "random_scalar_field",
     "sobolev_multiplication_probe",
-    "mesh_to_json_dict",
 ]
 
 
@@ -408,15 +407,6 @@ def lp_norm(mesh: SourceMesh, f: np.ndarray, p: float) -> float:
     return sobolev_norm(mesh, f, 0, p)
 
 
-def energy_density(mesh: SourceMesh, values: np.ndarray) -> np.ndarray:
-    """Pointwise |df|^2; integrates against area to twice the energy."""
-    values = _check_field(mesh, values)
-    comps = values[:, None] if values.ndim == 1 else values
-    dfs = mesh.diff @ comps
-    row_sq = np.sum(dfs * dfs, axis=1)
-    return (mesh.diff_scatter @ row_sq) / mesh.area
-
-
 # ---------------------------------------------------------------------------
 # band-limited fields
 
@@ -499,15 +489,3 @@ def sobolev_multiplication_probe(
         out.append({"level": int(level), "max_ratio": best})
     return out
 
-
-def mesh_to_json_dict(mesh: SourceMesh) -> dict:
-    """Dump vertex coordinates, areas and stencil triplets (diagnostic export)."""
-    K = mesh.stiffness.tocoo()
-    return {
-        "spec": mesh.spec,
-        "points": mesh.points.tolist(),
-        "areas": mesh.area.tolist(),
-        "stiffness_triplets": [
-            [int(i), int(j), float(v)] for i, j, v in zip(K.row, K.col, K.data)
-        ],
-    }

@@ -10,7 +10,6 @@ from harmonicflow import (
     constant_map,
     degree_circle_map,
     energy,
-    energy_density,
     gradient_pairing_check,
     grad_l2_norm,
     hessian_apply,
@@ -25,7 +24,7 @@ from harmonicflow import (
 )
 from harmonicflow.errors import NonTangentInput, OffTarget
 from harmonicflow.fields import map_sup_distance
-from harmonicflow.meshes import l2_inner, l2_norm
+from harmonicflow.meshes import l2_inner, l2_norm, random_scalar_field
 from harmonicflow.rng import stream
 
 
@@ -69,6 +68,8 @@ def test_energy_constant_map_zero(ico3, s2):
 def test_energy_identity_sphere(ico4, s2):
     e = energy(identity_sphere_map(ico4, s2))
     assert abs(e - 4 * math.pi) / (4 * math.pi) <= 5e-3
+    # |d id|^2 = 2 at every vertex, so E(id) is the mesh area
+    assert e == pytest.approx(ico4.total_area, rel=1e-12)
 
 
 def test_energy_degree_k_circle(circle256, s1):
@@ -77,10 +78,15 @@ def test_energy_degree_k_circle(circle256, s1):
         assert abs(e - math.pi * k * k) <= 1e-3
 
 
-def test_energy_equals_half_density_integral(ico3, s2):
-    f = near_identity_map(ico3, s2)
-    dens = energy_density(ico3, f.values)
-    assert energy(f) == 0.5 * float(np.dot(ico3.area, dens))
+@pytest.mark.parametrize("mesh_name", ["circle256", "torus16", "ico3"])
+def test_energy_is_half_dirichlet_form(request, s2, mesh_name):
+    # 2 E(f) = sum_c f_c . K f_c for a random O(1) map: D^T D = K on every mesh
+    mesh = request.getfixturevalue(mesh_name)
+    rng = stream(3, "test-energy-form")
+    vals = np.stack([random_scalar_field(mesh, rng) for _ in range(3)], axis=1)
+    f = MapField.project(vals, s2, mesh)
+    dirichlet = float(np.sum(f.values * (mesh.stiffness @ f.values)))
+    assert 2.0 * energy(f) == pytest.approx(dirichlet, rel=1e-12)
 
 
 def test_energy_resolves_tiny_gaps(ico3, s2):

@@ -11,7 +11,6 @@ from harmonicflow import (
     degree_circle_map,
     dissipation_check,
     energy,
-    flow_step,
     perturbed_constant_map,
     run_flow,
     tension,
@@ -25,26 +24,28 @@ from harmonicflow.rng import stream
 
 def test_step_leaves_constant_map_fixed(ico2, s2):
     f = constant_map(ico2, s2)
-    out = flow_step(f, 0.01)
+    out = _step_with(f, tension(f), 0.01)
     assert np.max(np.abs(out.values - f.values)) <= 1e-12
 
 
 def test_step_leaves_circle_identity_fixed(circle256, s1):
     f = degree_circle_map(circle256, s1, 1)
-    out = flow_step(f, 0.01)
+    out = _step_with(f, tension(f), 0.01)
     assert np.max(np.abs(out.values - f.values)) <= 1e-8
 
 
 def test_step_decreases_energy_near_constant(ico2, s2):
     f = perturbed_constant_map(ico2, s2, 0.1, stream(1, "flow"))
-    assert energy(flow_step(f, 0.01)) < energy(f)
+    assert energy(_step_with(f, tension(f), 0.01)) < energy(f)
 
 
 def test_step_radius_guard(ico2, s2):
     f = perturbed_constant_map(ico2, s2, 0.1, stream(2, "flow"))
     sup = tension(f).linf()
-    with pytest.raises(ChartRadiusExceeded):
-        flow_step(f, 1.0 / sup)
+    assert 1.0 >= s2.chart_radius()  # dt0 = 1 / sup starts outside the radius
+    tr = run_flow(f, FlowControl(dt0=1.0 / sup, max_steps=1))
+    assert len(tr.samples) == 2
+    assert tr.samples[1].dt * sup < s2.chart_radius()
 
 
 def test_run_flow_terminates_immediately_at_constant(ico2, s2):
@@ -88,8 +89,8 @@ def test_flow_equivariant_under_target_rotation(ico2, s2):
     )
     f = perturbed_constant_map(ico2, s2, 0.2, stream(6, "flow"))
     fq = MapField(f.values @ Q.T, s2, ico2)
-    a = flow_step(f, 1e-3).values @ Q.T
-    b = flow_step(fq, 1e-3).values
+    a = _step_with(f, tension(f), 1e-3).values @ Q.T
+    b = _step_with(fq, tension(fq), 1e-3).values
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
@@ -107,7 +108,7 @@ def test_radius_guard_at_dt_min_is_step_collapse(ico2, s2):
     assert 2.0 * tension(f0).linf() >= s2.chart_radius()
     tr = run_flow(f0, FlowControl(dt0=4.0, dt_min=3.0))
     assert tr.terminated_by == "step_collapse"
-    assert tr.step_sizes == []
+    assert len(tr.samples) == 1
 
 
 @pytest.mark.parametrize("dt0", [0.0, -1e-3, math.nan])
@@ -129,7 +130,7 @@ def test_run_flow_makes_no_per_candidate_checks(ico2, s2, monkeypatch):
 
         monkeypatch.setattr(EmbeddedTarget, name, counted)
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=20))
-    assert len(tr.step_sizes) == 20
+    assert len(tr.samples) - 1 == 20
     assert calls == []  # every candidate and tension is built by a projection
 
 
@@ -137,7 +138,7 @@ def test_max_steps_termination(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(8, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=5))
     assert tr.terminated_by == "max_steps"
-    assert len(tr.step_sizes) == 5
+    assert len(tr.samples) - 1 == 5
 
 
 def test_max_time_termination(ico2, s2):

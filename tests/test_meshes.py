@@ -8,7 +8,6 @@ from harmonicflow import (
     build_flat_torus,
     build_icosphere,
     build_source,
-    energy_density,
     l2_inner,
     laplace_beltrami_apply,
     lp_norm,
@@ -21,7 +20,7 @@ from harmonicflow.errors import (
     ShapeMismatch,
     UnsupportedOrder,
 )
-from harmonicflow.meshes import l2_norm, mesh_to_json_dict, mode_basis, random_scalar_field
+from harmonicflow.meshes import l2_norm, mode_basis, random_scalar_field
 from harmonicflow.rng import stream
 
 
@@ -212,38 +211,6 @@ def test_sobolev_norm_of_vector_field_sums_component_powers(circle256, torus16, 
 
 
 # ---------------------------------------------------------------------------
-# energy density
-
-def test_density_constant_map_zero(ico3):
-    vals = np.tile(np.array([0.0, 0.0, 1.0]), (ico3.vertex_count, 1))
-    assert np.max(energy_density(ico3, vals)) <= 1e-20
-
-
-def test_density_identity_sphere_is_two(ico4):
-    dens = energy_density(ico4, ico4.points)
-    assert np.max(np.abs(dens - 2.0)) <= 1e-12
-
-
-def test_density_degree_k_circle(circle256):
-    t = circle256.points[:, 0]
-    for k in (1, 2, 3, 4):
-        vals = np.stack([np.cos(k * t), np.sin(k * t)], axis=1)
-        dens = energy_density(circle256, vals)
-        assert np.max(np.abs(dens - k * k)) <= 1e-3 * k * k
-
-
-def test_density_integrates_to_twice_energy(ico3):
-    rng = stream(3, "test-density")
-    vals = np.stack([random_scalar_field(ico3, rng) for _ in range(3)], axis=1)
-    dens = energy_density(ico3, vals)
-    total = float(np.dot(ico3.area, dens))
-    dirichlet = sum(
-        float(vals[:, c] @ (ico3.stiffness @ vals[:, c])) for c in range(3)
-    )
-    assert total == pytest.approx(dirichlet, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # multiplication probe
 
 def test_probe_unit_function_gives_inverse_volume():
@@ -276,30 +243,11 @@ def test_mode_basis_unit_norm(circle256, torus16, ico2):
             assert l2_norm(mesh, basis[:, j]) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_mesh_json_dump_roundtrip_fields(ico2):
-    d = mesh_to_json_dict(ico2)
-    assert len(d["points"]) == ico2.vertex_count
-    assert len(d["areas"]) == ico2.vertex_count
-    assert d["spec"] == {"kind": "icosphere", "level": 2}
-    i, j, v = d["stiffness_triplets"][0]
-    assert ico2.stiffness[i, j] == v
-
-
 # ---------------------------------------------------------------------------
 # property tests
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_density_nonnegative_property(seed):
-    mesh = build_circle(32)
-    rng = np.random.default_rng(seed)
-    vals = rng.standard_normal((32, 2))
-    dens = energy_density(mesh, vals)
-    assert np.all(dens >= 0.0)
 
 
 @settings(max_examples=25, deadline=None)

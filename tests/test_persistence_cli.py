@@ -362,6 +362,22 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     assert summary["accepted_steps"] == 0
 
 
+@pytest.mark.parametrize("key,value", [
+    ("dt0", "0"), ("dt0", "nan"), ("dt_min", "nan"), ("dt_min", "-1"),
+])
+def test_cli_bad_flow_step_size_exit_2(tmp_path, capsys, key, value):
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"}, flow={key: value})
+    assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    assert f"[flow] {key}" in capsys.readouterr().err
+
+
+def test_cli_verify_default_p_is_admissible(tmp_path):
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "verify"})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 0
+    assert (out / "verify_margins.json").exists()
+
+
 def test_cli_bad_config_exit_2(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(analyses="") + "\ntypo = 1\n")
     assert cli_main(["run", path]) == 2
