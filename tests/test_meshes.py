@@ -171,6 +171,14 @@ def test_greens_identity(circle256, torus16, ico3):
         assert abs(a - b) / scale <= 1e-10
 
 
+def test_density_identity_sphere_is_two(ico4):
+    # |d id|^2 = 2 at every vertex: the pointwise gradient density the
+    # W^{1,p} norm integrates (squared stencil rows scattered per area)
+    df = ico4.diff @ ico4.points
+    dens = (ico4.diff_scatter @ np.sum(df * df, axis=1)) / ico4.area
+    assert np.max(np.abs(dens - 2.0)) <= 1e-12
+
+
 def test_sobolev_norm_constant_k0(ico4):
     c = np.full(ico4.vertex_count, 3.0)
     expect = 3.0 * math.sqrt(4 * math.pi)
