@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,18 +42,16 @@ def chart_pull(
     frames = tangent_frames(tgt, f.values)  # (V, n, dN)
     c = np.einsum("vnj,vn->vj", frames, f1.values - f.values)
 
-    def residual(coef: np.ndarray) -> np.ndarray:
-        pushed = tgt.project_to_target(
-            f.values + np.einsum("vnj,vj->vn", frames, coef)
-        )
-        return pushed - f1.values
+    def push(coef: np.ndarray):
+        """pi(f + u(coef)), its residual against f1, and the residual norms."""
+        y = tgt.project_to_target(f.values + np.einsum("vnj,vj->vn", frames, coef))
+        r = y - f1.values
+        return y, r, np.linalg.norm(r, axis=1)
 
-    r = residual(c)
-    rnorm = np.linalg.norm(r, axis=1)
+    y, r, rnorm = push(c)
     for _ in range(max_iter):
         if np.max(rnorm) <= NEWTON_TOL:
             break
-        y = tgt.project_to_target(f.values + np.einsum("vnj,vj->vn", frames, c))
         # (V, dN, n): row j is dpi(y) applied to frame column j
         J = tgt.tangent_project(y[:, None, :], frames.transpose(0, 2, 1))
         JtJ = np.einsum("vjn,vkn->vjk", J, J)
@@ -66,15 +64,15 @@ def chart_pull(
         alpha = np.ones(c.shape[0])
         for _ in range(30):
             trial = c - alpha[:, None] * step
-            r_new = residual(trial)
-            rn_new = np.linalg.norm(r_new, axis=1)
+            y_new, r_new, rn_new = push(trial)
             worse = rn_new > rnorm
             if not np.any(worse):
                 break
             alpha[worse] *= 0.5
-        c = c - alpha[:, None] * step
-        r = residual(c)
-        rnorm = np.linalg.norm(r, axis=1)
+        else:  # the last halving moved alpha past the last trial
+            trial = c - alpha[:, None] * step
+            y_new, r_new, rn_new = push(trial)
+        c, y, r, rnorm = trial, y_new, r_new, rn_new
     if np.max(rnorm) > PULL_RESIDUAL_TOL:
         raise NewtonDivergence(
             f"chart inverse residual {float(np.max(rnorm)):.3e} > "
@@ -92,12 +90,7 @@ class ChartReport:
     radius_used: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "c4_estimate": self.c4_estimate,
-            "max_roundtrip_error": self.max_roundtrip_error,
-            "sample_count": self.sample_count,
-            "radius_used": self.radius_used,
-        }
+        return asdict(self)
 
 
 def bilipschitz_estimate(

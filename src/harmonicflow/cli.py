@@ -54,7 +54,7 @@ from .errors import (
 )
 from .fields import MapField
 from .flow import run_flow
-from .meshes import build_source, sobolev_multiplication_probe
+from .meshes import VARIANTS, build_source, sobolev_multiplication_probe
 from .targets import build_target
 
 OUTPUT_ROOT_ENV = "HARMONICFLOW_OUT"
@@ -71,12 +71,12 @@ CONFIG_ERRORS = (
 
 def _build_initial_map(scn: Scenario, mesh, target) -> MapField:
     """The scenario's initial map.  A point, kind or checkpoint that does not
-    fit the mesh and target, or lies off the target, is an input error
-    (ConfigError), not a numerical failure."""
+    fit the mesh and target, lies off the target, or cannot be read, is an
+    input error (ConfigError), not a numerical failure."""
     kind = scn.initial_map["kind"]
     try:
         return INITIAL_MAP_KINDS[kind](mesh, target, scn.initial_map, scn.seed)
-    except (OutsideTubularNeighborhood, ShapeMismatch, NotOnTarget) as exc:
+    except (OutsideTubularNeighborhood, ShapeMismatch, NotOnTarget, OSError) as exc:
         raise ConfigError(f"[initial_map] kind = {kind}: {exc}") from exc
 
 
@@ -89,6 +89,10 @@ class _Run:
         self.mesh = build_source(mesh_spec_from_config(scn.mesh))
         self.target = build_target(target_spec_from_config(scn.target))
         self.f0 = _build_initial_map(scn, self.mesh, self.target)
+        radius = scn.chart_audit["radius"]
+        if radius is not None and radius >= self.target.chart_radius():
+            raise ConfigError(f"[chart_audit] radius = {radius} is not below the "
+                              f"target's chart radius {self.target.chart_radius()}")
         self.trace = None
         self.f_inf = None
         self.outputs: list[str] = []
@@ -143,8 +147,7 @@ class _Run:
     def run_loja_fit(self):
         self.ensure_flow()
         lo = self.scn.loja_fit["window_lo"]
-        hi = self.scn.loja_fit["window_hi"]
-        window = (lo, hi) if lo is not None and hi is not None else None
+        window = (lo, self.scn.loja_fit["window_hi"]) if lo is not None else None
         fit = loja.fit_exponent(self.trace, self.f_inf, window=window)
         payload = fit.to_json_dict()
         try:
@@ -297,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     vp.add_argument("d", type=int)
     vp.add_argument("k", type=int)
     vp.add_argument("p", type=float)
-    vp.add_argument("variant", choices=loja.VARIANTS)
+    vp.add_argument("variant", choices=VARIANTS)
 
     args = parser.parse_args(argv)
 

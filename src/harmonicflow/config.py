@@ -10,8 +10,7 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError
 from .fields import constant_map, degree_circle_map, identity_sphere_map, perturbed_constant_map
 from .flow import FlowControl
-from .lojasiewicz import VARIANTS
-from .meshes import FLAT_TORUS_SIDE, MESH_KINDS
+from .meshes import FLAT_TORUS_SIDE, MESH_KINDS, SOBOLEV_ORDERS, VARIANTS, validate_exponents
 from .rng import stream
 from .targets import TARGET_KINDS
 
@@ -46,11 +45,21 @@ def _analyses(s: str) -> list[str]:
     return items
 
 
-def _positive_float(s: str) -> float:
-    v = float(s)
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError("must be finite and > 0")
-    return v
+def _positive(typ):
+    """Parser for a number of type ``typ`` that must be finite and > 0."""
+    def parse(s: str):
+        v = typ(s)
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError("must be finite and > 0")
+        return v
+    return parse
+
+
+def _order(s: str) -> int:
+    k = int(s)
+    if k not in SOBOLEV_ORDERS:
+        raise ValueError(f"Sobolev order not in {SOBOLEV_ORDERS}")
+    return k
 
 
 def _opt_float(s: str) -> float | None:
@@ -115,14 +124,14 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "path": (str, None),
     },
     "flow": {
-        "dt0": (_positive_float, _FLOW.dt0),
-        "dt_min": (_positive_float, _FLOW.dt_min),
+        "dt0": (_positive(float), _FLOW.dt0),
+        "dt_min": (_positive(float), _FLOW.dt_min),
         "max_steps": (int, _FLOW.max_steps),
         "max_time": (float, _FLOW.max_time),
         "grad_tol": (float, _FLOW.grad_tol),
         "checkpoint_every": (int, _FLOW.checkpoint_every),
         "write_checkpoints": (_bool, False),
-        "dist_k": (int, _FLOW.dist_norm[0]),
+        "dist_k": (_order, _FLOW.dist_norm[0]),
         "dist_p": (float, _FLOW.dist_norm[1]),
     },
     "loja_fit": {
@@ -132,7 +141,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "verify": {
         "sigma": (float, 0.1),
         "count": (int, 32),
-        "k": (int, 1),
+        "k": (_order, 1),
         "p": (float, 3.0),  # k = 1, p = 2 is inadmissible on every 2-D source
         "variant": (_one_of(VARIANTS), "l2"),
         "theta": (float, 0.5),
@@ -142,17 +151,17 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "hessian": {
         "kernel_tol": (_opt_float, None),
         "expected_critical_dim": (_opt_int, None),
-        "n_modes": (int, 32),
+        "n_modes": (_positive(int), 32),
     },
     "chart_audit": {
         "radius": (_opt_float, None),  # auto = 0.1 * tubular radius
         "samples": (int, 32),
-        "k": (int, 1),
+        "k": (_order, 1),
         "p": (float, 2.0),
     },
     "mult_probe": {
         "levels": (_ints_list, [16, 32, 64]),
-        "k": (int, 2),
+        "k": (_order, 2),
         "p": (float, 2.0),
         "trials": (int, 8),
     },
@@ -217,6 +226,12 @@ def parse_config(path: str) -> Scenario:
 
     if out["initial_map"]["kind"] == "from_checkpoint" and not out["initial_map"]["path"]:
         raise ConfigError("initial_map kind from_checkpoint requires path")
+    if (out["loja_fit"]["window_lo"] is None) != (out["loja_fit"]["window_hi"] is None):
+        raise ConfigError("[loja_fit] window_lo and window_hi must be set together")
+    mp = out["mult_probe"]  # the probe's W^{k,p} x L2 -> L2 runs on the flat torus
+    verdict = validate_exponents(MESH_KINDS["flat_torus"].dimension, mp["k"], mp["p"], "l2")
+    if not verdict.admissible:
+        raise ConfigError(f"[mult_probe] k = {mp['k']}, p = {mp['p']}: {verdict.reason}")
 
     echo = {sec: {k: _echo_value(v) for k, v in keys.items()}
             for sec, keys in out.items()}

@@ -18,7 +18,7 @@ whose mass-weighted bilinear form is symmetric by the symmetry of d2pi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -145,9 +145,7 @@ class HessianOperator:
 
     form: sp.csr_matrix
     mass: np.ndarray
-    frames: np.ndarray
     asymmetry_rel: float
-    basis_dim: int
 
     def symmetrized_dense(self) -> np.ndarray:
         """Mass-symmetrized dense matrix A^{-1/2} F A^{-1/2}."""
@@ -189,7 +187,7 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     asym = float(spla.norm(anti) / denom) if denom > 0 else 0.0
     F = ((F + F.T) * 0.5).tocsr()
     mass = np.repeat(f.mesh.area, dN)
-    return HessianOperator(F, mass, frames, asym, V * dN)
+    return HessianOperator(F, mass, asym)
 
 
 @dataclass
@@ -199,17 +197,11 @@ class HessianSpectrum:
     kernel_tol: float
     basis_dim: int
     gap_ratio: float
+    index: int
     partial: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": list(self.eigenvalues),
-            "kernel_dim": self.kernel_dim,
-            "kernel_tol": self.kernel_tol,
-            "basis_dim": self.basis_dim,
-            "gap_ratio": self.gap_ratio,
-            "partial": self.partial,
-        }
+        return asdict(self)
 
 
 DENSE_EIG_LIMIT = 3000
@@ -232,9 +224,10 @@ def hessian_spectrum(
     """Eigenvalues (ascending) with a gap-aware kernel count.
 
     Dense solve below DENSE_EIG_LIMIT unknowns, shift-invert around zero
-    above; kernel_tol defaults to 1e-6 times the largest eigenvalue.
+    above; kernel_tol defaults to 1e-6 times the largest eigenvalue.  The
+    index counts the (computed) eigenvalues below -kernel_tol.
     """
-    dim = op.basis_dim
+    dim = op.form.shape[0]
     if dim <= DENSE_EIG_LIMIT:
         try:
             vals = np.linalg.eigvalsh(op.symmetrized_dense())
@@ -260,14 +253,16 @@ def hessian_spectrum(
     if kernel_tol is None:
         kernel_tol = 1e-6 * abs(lam_max)
     kernel_dim = int(np.sum(np.abs(vals) <= kernel_tol))
-    above = vals[np.abs(vals) > kernel_tol]
-    gap_ratio = float(above[0] / kernel_tol) if above.size and kernel_tol > 0 else float("nan")
+    # the smallest |lambda| outside the kernel band, of either sign
+    above = np.abs(vals[np.abs(vals) > kernel_tol])
+    gap_ratio = float(above.min() / kernel_tol) if above.size and kernel_tol > 0 else float("nan")
     return HessianSpectrum(
         eigenvalues=[float(v) for v in vals],
         kernel_dim=kernel_dim,
         kernel_tol=float(kernel_tol),
         basis_dim=dim,
         gap_ratio=gap_ratio,
+        index=int(np.sum(vals < -kernel_tol)),
         partial=partial,
     )
 

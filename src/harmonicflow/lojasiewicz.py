@@ -8,7 +8,7 @@ whenever the critical set is a manifold matching the Hessian kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,9 @@ from .errors import (
 )
 from .fields import MapField, random_tangent_field
 from .flow import FlowControl, FlowTrace
-from .meshes import SourceMesh, l2_norm, lp_norm, mode_basis, sobolev_norm
+from .meshes import (
+    ExponentVerdict, SourceMesh, l2_norm, lp_norm, mode_basis, sobolev_norm, validate_exponents,
+)
 from .rng import stream
 
 __all__ = [
@@ -43,59 +45,6 @@ __all__ = [
     "convergence_classifier",
     "gradient_dual_norm",
 ]
-
-
-# ---------------------------------------------------------------------------
-# hypothesis tables
-
-VARIANTS = ("wk", "l2")  # gradient measured in W^{k-2,p}, or in L2
-
-
-@dataclass(frozen=True)
-class ExponentVerdict:
-    admissible: bool
-    reason: str
-
-
-def validate_exponents(d: int, k: int, p: float, variant: str) -> ExponentVerdict:
-    """Admissibility of (d, k, p) for the W^{k-2,p} or L2 inequality.
-
-    ``variant`` is "wk" (gradient measured in W^{k-2,p}) or "l2".  The clause
-    structure mirrors the hypothesis tables: kp > d with p in (1, inf) for
-    the W-form; the L2 form additionally needs one of
-      (1) d = 2, k = 1, 2 < p;  (2) d = 3, k = 1, 3 < p <= 6;
-      (3) d >= 2, k >= 2, 2 <= p;
-    first-order cases are excluded outright for d >= 4.
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if d < 2:
-        return ExponentVerdict(False, f"source dimension d = {d} < 2")
-    if k < 1:
-        return ExponentVerdict(False, f"derivative order k = {k} < 1")
-    if k == 2 and p <= 1:
-        return ExponentVerdict(False, "second-order case requires p > 1")
-    if p <= 1:
-        return ExponentVerdict(False, f"requires p > 1, got p = {p}")
-    if k * p <= d:
-        return ExponentVerdict(False, f"requires kp > d, got kp = {k * p}, d = {d}")
-    if variant == "wk":
-        return ExponentVerdict(True, f"kp = {k * p} > d = {d} with p in (1, inf)")
-    # l2 variant
-    if k == 1:
-        if d >= 4:
-            return ExponentVerdict(
-                False, "L2 form with k = 1 requires d < 4 (duality exponent fails)"
-            )
-        if d == 2:
-            return ExponentVerdict(True, "d = 2, k = 1, p > 2")
-        # d == 3
-        if p > 6:
-            return ExponentVerdict(False, "d = 3, k = 1 requires 3 < p <= 6")
-        return ExponentVerdict(True, "d = 3, k = 1, 3 < p <= 6")
-    if p < 2:
-        return ExponentVerdict(False, "L2 form with k >= 2 requires p >= 2")
-    return ExponentVerdict(True, f"k = {k} >= 2, p >= 2, kp > d")
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +192,7 @@ class LojasiewiczFit:
     norm_used: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "theta_hat": self.theta_hat,
-            "z_hat": self.z_hat,
-            "window": list(self.window),
-            "r_squared": self.r_squared,
-            "point_count": self.point_count,
-            "norm_used": self.norm_used,
-        }
+        return asdict(self)
 
 
 def default_window(e_inf: float, gaps: np.ndarray) -> tuple[float, float]:
@@ -316,14 +258,7 @@ class MorseBottReport:
     kernel_tol: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "kernel_dim": self.kernel_dim,
-            "expected_critical_dim": self.expected_critical_dim,
-            "gap_ratio": self.gap_ratio,
-            "verdict": self.verdict,
-            "predicted_theta": self.predicted_theta,
-            "kernel_tol": self.kernel_tol,
-        }
+        return asdict(self)
 
 
 def morse_bott_report(
@@ -382,13 +317,7 @@ class ConvergenceVerdict:
     r2_power_law: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "rate": self.rate,
-            "exponent": self.exponent,
-            "r2_exponential": self.r2_exponential,
-            "r2_power_law": self.r2_power_law,
-        }
+        return asdict(self)
 
 
 def _r2_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

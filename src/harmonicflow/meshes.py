@@ -46,6 +46,7 @@ __all__ = [
     "sobolev_norm",
     "mode_basis",
     "random_scalar_field",
+    "validate_exponents",
     "sobolev_multiplication_probe",
 ]
 
@@ -380,14 +381,17 @@ def l2_norm(mesh: SourceMesh, u: np.ndarray) -> float:
     return math.sqrt(max(l2_inner(mesh, u, u), 0.0))
 
 
+SOBOLEV_ORDERS = (0, 1, 2)  # the orders k that sobolev_norm implements
+
+
 def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float) -> float:
     """Discrete W^{k,p} norm: (sum_j integral |grad^j f|^p)^(1/p).
 
     Components enter through p-th powers of their own derivative magnitudes.
     The second-order term uses |Delta f| as the derivative-magnitude proxy.
     """
-    if k not in (0, 1, 2):
-        raise UnsupportedOrder(f"sobolev order k={k} not supported (k <= 2)")
+    if k not in SOBOLEV_ORDERS:
+        raise UnsupportedOrder(f"sobolev order k={k} not in {SOBOLEV_ORDERS}")
     if p < 1:
         raise InvalidExponents(f"p must be >= 1, got {p}")
     f = _check_field(mesh, f)
@@ -448,6 +452,57 @@ def random_scalar_field(mesh: SourceMesh, rng: np.random.Generator) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
+# hypothesis tables
+
+VARIANTS = ("wk", "l2")  # gradient measured in W^{k-2,p}, or in L2
+
+
+@dataclass(frozen=True)
+class ExponentVerdict:
+    admissible: bool
+    reason: str
+
+
+def validate_exponents(d: int, k: int, p: float, variant: str) -> ExponentVerdict:
+    """Admissibility of (d, k, p) for the W^{k-2,p} or L2 inequality.
+
+    ``variant`` is "wk" (gradient measured in W^{k-2,p}) or "l2".  The clause
+    structure mirrors the hypothesis tables: kp > d with p in (1, inf) for
+    the W-form; the L2 form additionally needs one of
+      (1) d = 2, k = 1, 2 < p;  (2) d = 3, k = 1, 3 < p <= 6;
+      (3) d >= 2, k >= 2, 2 <= p;
+    first-order cases are excluded outright for d >= 4.
+    """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if d < 2:
+        return ExponentVerdict(False, f"source dimension d = {d} < 2")
+    if k < 1:
+        return ExponentVerdict(False, f"derivative order k = {k} < 1")
+    if p <= 1:
+        return ExponentVerdict(False, f"requires p > 1, got p = {p}")
+    if k * p <= d:
+        return ExponentVerdict(False, f"requires kp > d, got kp = {k * p}, d = {d}")
+    if variant == "wk":
+        return ExponentVerdict(True, f"kp = {k * p} > d = {d} with p in (1, inf)")
+    # l2 variant
+    if k == 1:
+        if d >= 4:
+            return ExponentVerdict(
+                False, "L2 form with k = 1 requires d < 4 (duality exponent fails)"
+            )
+        if d == 2:
+            return ExponentVerdict(True, "d = 2, k = 1, p > 2")
+        # d == 3
+        if p > 6:
+            return ExponentVerdict(False, "d = 3, k = 1 requires 3 < p <= 6")
+        return ExponentVerdict(True, "d = 3, k = 1, 3 < p <= 6")
+    if p < 2:
+        return ExponentVerdict(False, "L2 form with k >= 2 requires p >= 2")
+    return ExponentVerdict(True, f"k = {k} >= 2, p >= 2, kp > d")
+
+
+# ---------------------------------------------------------------------------
 # multiplication probe
 
 def sobolev_multiplication_probe(
@@ -465,14 +520,9 @@ def sobolev_multiplication_probe(
     under refinement is the property being probed; trials with f2 = 0 are
     excluded from the max.
     """
-    d = MESH_KINDS["flat_torus"].dimension
-    first_order_ok = k == 1 and p > d
-    higher_order_ok = k >= 2 and p >= 2 and k * p > d
-    if not (first_order_ok or higher_order_ok):
-        raise InvalidExponents(
-            f"(k={k}, p={p}) inadmissible: need k >= 2, p >= 2, kp > d, "
-            f"or k = 1 with p > d"
-        )
+    verdict = validate_exponents(MESH_KINDS["flat_torus"].dimension, k, p, "l2")
+    if not verdict.admissible:
+        raise InvalidExponents(f"(k={k}, p={p}) inadmissible: {verdict.reason}")
     rng = stream(seed, "mult-probe")
     out = []
     for level in levels:

@@ -1,16 +1,21 @@
 """Closed embedded target manifolds with exact nearest-point projection.
 
-Each target knows its projection pi, its differential dpi in closed form as
-``tangent_project(y, v)`` (the orthogonal projection of v onto the tangent
-plane at y), and the full ambient Hessian d2pi of the projection.  Sign
-convention: the second fundamental form is defined through the projection
-Hessian,
+Each target knows its projection pi and supplies, at a point y on it, the
+unit normal nu and the shape operator S t = dnu(y) t of a hypersurface (the
+Clifford torus per circle factor).  From these two, one closed form gives the
+differential and the Hessian of the projection for every target:
 
-    A(y)(v, w) := -d2pi(y)(v, w)   for tangent v, w,
+    dpi(y) v = P v = v - nu (nu . v),
+    d2pi(y)(v, w) = -<S Pv, w> nu - (nu . w) S Pv - (nu . v) S Pw.
 
-which on the unit sphere gives A(y)(v, v) = |v|^2 y.  This is the sign that
-makes Delta f = A(f)(df, df) hold for the identity map with the nonnegative
-Laplacian convention used by the meshes.
+Sign convention: the second fundamental form is defined through the
+projection Hessian,
+
+    A(y)(v, w) := -d2pi(y)(v, w) = <S v, w> nu   for tangent v, w,
+
+which on the unit sphere (nu = y, S = identity) gives A(y)(v, v) = |v|^2 y.
+This is the sign that makes Delta f = A(f)(df, df) hold for the identity map
+with the nonnegative Laplacian convention used by the meshes.
 
 All operations are pure and vectorized over a leading batch axis: points are
 arrays of shape (..., n) with n the ambient dimension.
@@ -19,7 +24,7 @@ arrays of shape (..., n) with n the ambient dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,20 +50,20 @@ def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a * b, axis=-1, keepdims=True)
 
 
-def _d2_radial(z: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hessian of z -> z/|z| evaluated at z, applied to directions (a, b)."""
-    s = np.linalg.norm(z, axis=-1, keepdims=True)
-    u = z / s
-    term = -a * _dots(u, b) - b * _dots(u, a) - u * _dots(a, b)
-    term = term + 3.0 * u * _dots(u, a) * _dots(u, b)
-    return term / s**2
+def _tangent_part(nu: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P v = v - nu (nu . v), the part of v orthogonal to the unit vector nu;
+    dpi(y) v when nu is the unit normal at y."""
+    return v - nu * _dots(nu, v)
 
 
-def _d_radial(z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Differential of z -> z/|z| at z, applied to a."""
-    s = np.linalg.norm(z, axis=-1, keepdims=True)
-    u = z / s
-    return (a - u * _dots(u, a)) / s
+def _d2_hypersurface(
+    nu: np.ndarray, shape: Callable[[np.ndarray], np.ndarray], v: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """d2pi(y)(v, w) from the unit normal nu at y and the shape operator
+    ``shape(t) = dnu(y) t`` on tangent t."""
+    s_v = shape(_tangent_part(nu, v))
+    s_w = shape(_tangent_part(nu, w))
+    return -_dots(s_v, w) * nu - _dots(nu, w) * s_v - _dots(nu, v) * s_w
 
 
 class EmbeddedTarget:
@@ -200,12 +205,12 @@ class UnitSphere(EmbeddedTarget):
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
+    # nu = y itself, not y/|y|: on the target they agree to rounding
     def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return v - y * _dots(y, v)
+        return _tangent_part(y, v)
 
     def _d2_projection(self, y, v, w):
-        term = -v * _dots(y, w) - w * _dots(y, v) - y * _dots(v, w)
-        return term + 3.0 * y * _dots(y, v) * _dots(y, w)
+        return _d2_hypersurface(y, lambda t: t, v, w)
 
     def spec(self) -> dict:
         return {"kind": "sphere", "ambient_dim": self.ambient_dim}
@@ -241,6 +246,9 @@ class CliffordTorus(EmbeddedTarget):
     def _pairs(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[:-1] + (self.circle_count, 2))
 
+    def _unpairs(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(x.shape[:-2] + (self.ambient_dim,))
+
     def distance(self, x: np.ndarray) -> np.ndarray:
         rho = np.linalg.norm(self._pairs(np.asarray(x, float)), axis=-1)
         return np.linalg.norm(rho - 1.0, axis=-1)
@@ -254,19 +262,13 @@ class CliffordTorus(EmbeddedTarget):
         rho = np.linalg.norm(pairs, axis=-1, keepdims=True)
         return (pairs / rho).reshape(x.shape)
 
+    # per factor circle: nu is the raw coordinate pair of y, S the identity
     def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        # per factor circle, with the raw (unnormalized) coordinate pairs of y
-        yp, vp = self._pairs(y), self._pairs(v)
-        out = vp - yp * _dots(yp, vp)
-        return out.reshape(out.shape[:-2] + (self.ambient_dim,))
+        return self._unpairs(_tangent_part(self._pairs(y), self._pairs(v)))
 
     def _d2_projection(self, y, v, w):
-        yp, vp, wp = self._pairs(y), self._pairs(v), self._pairs(w)
-        s = np.linalg.norm(yp, axis=-1, keepdims=True)
-        u = yp / s
-        term = -vp * _dots(u, wp) - wp * _dots(u, vp) - u * _dots(vp, wp)
-        term = term + 3.0 * u * _dots(u, vp) * _dots(u, wp)
-        return (term / s**2).reshape(y.shape)
+        d2 = _d2_hypersurface(self._pairs(y), lambda t: t, self._pairs(v), self._pairs(w))
+        return self._unpairs(d2)
 
     def spec(self) -> dict:
         return {"kind": "clifford_torus", "m": self.circle_count}
@@ -321,29 +323,18 @@ class TorusOfRevolution(EmbeddedTarget):
 
     def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         _, _, q, s = self._core_decomp(y)
-        nu = q / s
-        return v - nu * _dots(nu, v)
+        return _tangent_part(q / s, v)
 
     def _d2_projection(self, y, v, w):
-        R, r = self.major_radius, self.minor_radius
-        rho, e, q, _ = self._core_decomp(y)
-        vH = v.copy()
-        vH[..., 2] = 0.0
-        wH = w.copy()
-        wH[..., 2] = 0.0
-        de_v = (vH - e * _dots(e, vH)) / rho
-        de_w = (wH - e * _dots(e, wH)) / rho
-        d2e = (
-            -vH * _dots(e, wH)
-            - wH * _dots(e, vH)
-            - e * _dots(vH, wH)
-            + 3.0 * e * _dots(e, vH) * _dots(e, wH)
-        ) / rho**2
-        dq_v = v - R * de_v
-        dq_w = w - R * de_w
-        d2q = -R * d2e
-        d2u = _d2_radial(q, dq_v, dq_w) + _d_radial(q, d2q)
-        return R * d2e + r * d2u
+        rho, e, q, s = self._core_decomp(y)
+
+        def shape(t):
+            # nu = q/s with q = y - R e: S t = (t - R de(y) t) / s on tangent t
+            t_h = t.copy()
+            t_h[..., 2] = 0.0
+            return (t - self.major_radius * _tangent_part(e, t_h) / rho) / s
+
+        return _d2_hypersurface(q / s, shape, v, w)
 
     def spec(self) -> dict:
         return {"kind": "torus_rev", "R": self.major_radius, "r": self.minor_radius}

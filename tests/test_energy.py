@@ -6,7 +6,9 @@ import pytest
 from harmonicflow import (
     MapField,
     TangentField,
+    UnitSphere,
     build_circle,
+    build_icosphere,
     constant_map,
     degree_circle_map,
     energy,
@@ -283,8 +285,18 @@ def test_hessian_spectrum_json_fields(ico2, s2):
     spec = hessian_spectrum(hessian_matrix(constant_map(ico2, s2)))
     d = spec.to_json_dict()
     assert set(d) == {
-        "eigenvalues", "kernel_dim", "kernel_tol", "basis_dim", "gap_ratio", "partial",
+        "eigenvalues", "kernel_dim", "kernel_tol", "basis_dim", "gap_ratio", "index",
+        "partial",
     }
+
+
+def test_hessian_spectrum_gap_and_index_with_negative_modes():
+    # at ico1 three modes sit at -0.170, outside the band |lambda| <= 0.1
+    f = identity_sphere_map(build_icosphere(1), UnitSphere(3))
+    spec = hessian_spectrum(hessian_matrix(f), kernel_tol=0.1)
+    assert spec.kernel_dim == 3
+    assert spec.index == 3
+    assert spec.gap_ratio == pytest.approx(1.702, abs=1e-3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +324,16 @@ def test_kind_missing_its_key_rejected(tmp_path):
         target_spec_from_config(scn.target)
 
 
+CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_shipped_config_parses_and_sets_up(tmp_path, path):
+    scn = parse_config(str(path))
+    run = cli_module._Run(scn, str(tmp_path))  # mesh, target and initial map
+    assert run.f0.values.shape == (run.mesh.vertex_count, run.target.ambient_dim)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -362,13 +373,26 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     assert summary["accepted_steps"] == 0
 
 
-@pytest.mark.parametrize("key,value", [
-    ("dt0", "0"), ("dt0", "nan"), ("dt_min", "nan"), ("dt_min", "-1"),
+@pytest.mark.parametrize("analysis,section,keys", [
+    pytest.param("flow", "flow", {"dt0": "0"}, id="dt0-0"),
+    pytest.param("flow", "flow", {"dt0": "nan"}, id="dt0-nan"),
+    pytest.param("flow", "flow", {"dt_min": "nan"}, id="dt_min-nan"),
+    pytest.param("flow", "flow", {"dt_min": "-1"}, id="dt_min--1"),
+    pytest.param("flow", "flow", {"dist_k": "3"}, id="dist_k-3"),
+    pytest.param("verify", "verify", {"k": "3"}, id="verify-k-3"),
+    pytest.param("chart-audit", "chart_audit", {"k": "3"}, id="chart_audit-k-3"),
+    # the unit sphere's chart radius is 0.5
+    pytest.param("chart-audit", "chart_audit", {"radius": "0.5"}, id="chart_audit-radius"),
+    pytest.param("mult-probe", "mult_probe", {"k": "1", "p": "2"}, id="mult_probe-k1-p2"),
+    pytest.param("hessian-spec", "hessian", {"n_modes": "0"}, id="n_modes-0"),
+    pytest.param("loja-fit", "loja_fit", {"window_lo": "1e-3"}, id="window_lo-alone"),
+    pytest.param("flow", "initial_map", {"kind": "from_checkpoint", "path": "missing.json"},
+                 id="missing-checkpoint"),
 ])
-def test_cli_bad_flow_step_size_exit_2(tmp_path, capsys, key, value):
-    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"}, flow={key: value})
+def test_cli_bad_config_value_exit_2(tmp_path, capsys, analysis, section, keys):
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": analysis}, **{section: keys})
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
-    assert f"[flow] {key}" in capsys.readouterr().err
+    assert f"[{section}] {next(iter(keys))}" in capsys.readouterr().err
 
 
 def test_cli_verify_default_p_is_admissible(tmp_path):

@@ -256,28 +256,48 @@ def test_sff_orthogonal_tangents_at_pole():
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
+def hessian_batch(target, rng):
+    """Points on the target with direction pairs (v, w): random points; on the
+    torus of revolution also both equators and the tube's top and bottom; on
+    the Clifford torus also one pair confined to each circle factor."""
+    y = random_on_target(target, rng, 12)
+    if target.kind == "torus_rev":
+        R, r = target.major_radius, target.minor_radius
+        y = np.concatenate([y, [
+            [R + r, 0, 0], [0, -(R + r), 0],  # outer equator
+            [R - r, 0, 0], [0, R - r, 0],  # inner equator
+            [R, 0, r], [0, -R, -r],  # top and bottom of the tube
+        ]])
+    v = rng.standard_normal(y.shape)
+    w = rng.standard_normal(y.shape)
+    if target.kind == "clifford_torus":
+        factor = np.repeat(np.eye(target.circle_count), 2, axis=1)  # (m, 2m)
+        y = np.concatenate([y, y[: len(factor)]])
+        v = np.concatenate([v, factor * v[: len(factor)]])
+        w = np.concatenate([w, factor * w[: len(factor)]])
+    return y, v, w
+
+
 def test_hessian_of_projection_matches_fd_all_targets():
     rng = np.random.default_rng(8)
     for target in ALL_TARGETS:
-        y = random_on_target(target, rng, 1)[0]
-        v = rng.standard_normal(target.ambient_dim)
-        w = rng.standard_normal(target.ambient_dim)
+        y, v, w = hessian_batch(target, rng)
         d2 = target.ambient_hessian_of_projection(y, v, w)
         fd = fd_second_directional(target._project, y, v, w, h=1e-4)
-        assert np.linalg.norm(d2 - fd) <= 1e-6 * max(1.0, np.linalg.norm(d2))
+        scale = np.maximum(1.0, np.linalg.norm(d2, axis=-1))
+        assert np.all(np.linalg.norm(d2 - fd, axis=-1) <= 1e-6 * scale), target
 
 
 def test_sff_equals_minus_projection_hessian_fd():
     # sign contract: A(v, w) = -d2pi(v, w) on tangent inputs, FD oracle
     rng = np.random.default_rng(9)
     for target in ALL_TARGETS:
-        y = random_on_target(target, rng, 1)[0]
-        P = target.tangent_projector(y)
-        v = P @ rng.standard_normal(target.ambient_dim)
-        w = P @ rng.standard_normal(target.ambient_dim)
+        y, v, w = hessian_batch(target, rng)
+        v, w = target.tangent_project(y, v), target.tangent_project(y, w)
         A = target.second_fundamental_form(y, v, w)
         fd = fd_second_directional(target._project, y, v, w, h=1e-4)
-        assert np.linalg.norm(fd + A) <= 1e-6 * max(1.0, np.linalg.norm(A))
+        scale = np.maximum(1.0, np.linalg.norm(A, axis=-1))
+        assert np.all(np.linalg.norm(fd + A, axis=-1) <= 1e-6 * scale), target
 
 
 def test_sff_normal_valued_and_symmetric_bilinear():
