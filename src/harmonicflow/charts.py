@@ -6,17 +6,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ChartRadiusExceeded, NewtonDivergence
+from .errors import ChartRadiusExceeded
 from .fields import MapField, TangentField, map_sup_distance, random_tangent_field
 from .meshes import sobolev_norm
 from .rng import stream
-from .energy import tangent_frames
 
 __all__ = ["chart_push", "chart_pull", "bilipschitz_estimate", "ChartReport"]
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX_ITER = 50
-PULL_RESIDUAL_TOL = 1e-10
 
 
 def chart_push(f: MapField, u: TangentField) -> MapField:
@@ -27,59 +22,12 @@ def chart_push(f: MapField, u: TangentField) -> MapField:
     return MapField.project(f.values + u.values, f.target, f.mesh)
 
 
-def chart_pull(
-    f: MapField, f1: MapField, max_iter: int = NEWTON_MAX_ITER
-) -> TangentField:
-    """Tangent u with pi(f + u) = f1, by damped per-vertex Newton iteration.
-
-    The unknown is expressed in the orthonormal tangent frame at f; steps are
-    halved whenever the vertex residual grows.  Uniqueness inside the safe
-    chart radius follows from the local diffeomorphism property.
-    """
+def chart_pull(f: MapField, f1: MapField) -> TangentField:
+    """Tangent u with pi(f + u) = f1, vertex by vertex in closed form: the point
+    of the normal segment through f1 that lies in f + T_f N (targets.py)."""
     if map_sup_distance(f, f1) >= f.target.chart_radius():
         raise ChartRadiusExceeded("maps too far apart to share a chart")
-    tgt = f.target
-    frames = tangent_frames(tgt, f.values)  # (V, n, dN)
-    c = np.einsum("vnj,vn->vj", frames, f1.values - f.values)
-
-    def push(coef: np.ndarray):
-        """pi(f + u(coef)), its residual against f1, and the residual norms."""
-        y = tgt.project_to_target(f.values + np.einsum("vnj,vj->vn", frames, coef))
-        r = y - f1.values
-        return y, r, np.linalg.norm(r, axis=1)
-
-    y, r, rnorm = push(c)
-    for _ in range(max_iter):
-        if np.max(rnorm) <= NEWTON_TOL:
-            break
-        # (V, dN, n): row j is dpi(y) applied to frame column j
-        J = tgt.tangent_project(y[:, None, :], frames.transpose(0, 2, 1))
-        JtJ = np.einsum("vjn,vkn->vjk", J, J)
-        Jtr = np.einsum("vjn,vn->vj", J, r)
-        try:
-            step = np.linalg.solve(JtJ, Jtr[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            raise NewtonDivergence(f"singular chart Jacobian: {exc}") from exc
-        # damped update: halve per-vertex until the residual stops growing
-        alpha = np.ones(c.shape[0])
-        for _ in range(30):
-            trial = c - alpha[:, None] * step
-            y_new, r_new, rn_new = push(trial)
-            worse = rn_new > rnorm
-            if not np.any(worse):
-                break
-            alpha[worse] *= 0.5
-        else:  # the last halving moved alpha past the last trial
-            trial = c - alpha[:, None] * step
-            y_new, r_new, rn_new = push(trial)
-        c, y, r, rnorm = trial, y_new, r_new, rn_new
-    if np.max(rnorm) > PULL_RESIDUAL_TOL:
-        raise NewtonDivergence(
-            f"chart inverse residual {float(np.max(rnorm)):.3e} > "
-            f"{PULL_RESIDUAL_TOL:.1e}"
-        )
-    u = np.einsum("vnj,vj->vn", frames, c)
-    return TangentField(u, f)
+    return TangentField(f.target.chart_inverse(f.values, f1.values), f)
 
 
 @dataclass

@@ -62,8 +62,17 @@ def _order(s: str) -> int:
     return k
 
 
+def _exponent(s: str) -> float:
+    """A Sobolev exponent p: finite and >= 1, the range sobolev_norm takes."""
+    p = float(s)
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError("Sobolev exponent must be finite and >= 1")
+    return p
+
+
 def _opt_float(s: str) -> float | None:
-    return None if s.strip().lower() == "auto" else float(s)
+    """``auto`` (None) or a finite float > 0."""
+    return None if s.strip().lower() == "auto" else _positive(float)(s)
 
 
 def _opt_int(s: str) -> int | None:
@@ -132,17 +141,17 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "checkpoint_every": (int, _FLOW.checkpoint_every),
         "write_checkpoints": (_bool, False),
         "dist_k": (_order, _FLOW.dist_norm[0]),
-        "dist_p": (float, _FLOW.dist_norm[1]),
+        "dist_p": (_exponent, _FLOW.dist_norm[1]),
     },
     "loja_fit": {
         "window_lo": (_opt_float, None),
         "window_hi": (_opt_float, None),
     },
     "verify": {
-        "sigma": (float, 0.1),
-        "count": (int, 32),
+        "sigma": (_positive(float), 0.1),
+        "count": (_positive(int), 32),
         "k": (_order, 1),
-        "p": (float, 3.0),  # k = 1, p = 2 is inadmissible on every 2-D source
+        "p": (_exponent, 3.0),  # k = 1, p = 2 is inadmissible on every 2-D source
         "variant": (_one_of(VARIANTS), "l2"),
         "theta": (float, 0.5),
         "z": (float, 0.9),
@@ -155,15 +164,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "chart_audit": {
         "radius": (_opt_float, None),  # auto = 0.1 * tubular radius
-        "samples": (int, 32),
+        "samples": (_positive(int), 32),
         "k": (_order, 1),
-        "p": (float, 2.0),
+        "p": (_exponent, 2.0),
     },
     "mult_probe": {
         "levels": (_ints_list, [16, 32, 64]),
         "k": (_order, 2),
-        "p": (float, 2.0),
-        "trials": (int, 8),
+        "p": (_exponent, 2.0),
+        "trials": (_positive(int), 8),
     },
 }
 
@@ -226,8 +235,11 @@ def parse_config(path: str) -> Scenario:
 
     if out["initial_map"]["kind"] == "from_checkpoint" and not out["initial_map"]["path"]:
         raise ConfigError("initial_map kind from_checkpoint requires path")
-    if (out["loja_fit"]["window_lo"] is None) != (out["loja_fit"]["window_hi"] is None):
+    lo, hi = out["loja_fit"]["window_lo"], out["loja_fit"]["window_hi"]
+    if (lo is None) != (hi is None):
         raise ConfigError("[loja_fit] window_lo and window_hi must be set together")
+    if lo is not None and not lo < hi:
+        raise ConfigError(f"[loja_fit] window_lo = {lo} must be below window_hi = {hi}")
     mp = out["mult_probe"]  # the probe's W^{k,p} x L2 -> L2 runs on the flat torus
     verdict = validate_exponents(MESH_KINDS["flat_torus"].dimension, mp["k"], mp["p"], "l2")
     if not verdict.admissible:

@@ -53,10 +53,6 @@ class ChartRadiusExceeded(HarmonicFlowError):
     """Requested displacement leaves the safe chart radius."""
 
 
-class NewtonDivergence(HarmonicFlowError):
-    """Per-vertex Newton solve for the chart inverse did not converge."""
-
-
 # -- flow ------------------------------------------------------------------
 
 class InsufficientSamples(HarmonicFlowError):

@@ -17,6 +17,12 @@ which on the unit sphere (nu = y, S = identity) gives A(y)(v, v) = |v|^2 y.
 This is the sign that makes Delta f = A(f)(df, df) hold for the identity map
 with the nonnegative Laplacian convention used by the meshes.
 
+The chart inverse needs nu alone.  Inside the tube the fibre pi^{-1}(y1) is
+the normal segment y1 + t nu(y1) (R. L. Foote, Proc. AMS 92, 1984), so the
+tangent u at y with pi(y + u) = y1 is that segment's one point in y + T_y N:
+
+    u = y1 + t nu(y1) - y,   t = -nu(y) . (y1 - y) / (nu(y) . nu(y1)).
+
 All operations are pure and vectorized over a leading batch axis: points are
 arrays of shape (..., n) with n the ambient dimension.
 """
@@ -66,6 +72,15 @@ def _d2_hypersurface(
     return -_dots(s_v, w) * nu - _dots(nu, w) * s_v - _dots(nu, v) * s_w
 
 
+def _normal_preimage(
+    y: np.ndarray, nu: np.ndarray, y1: np.ndarray, nu1: np.ndarray
+) -> np.ndarray:
+    """The u with nu . u = 0 and y + u on the normal line y1 + t nu1, where nu
+    and nu1 are the unit normals at y and y1."""
+    d = y1 - y
+    return d - _dots(nu, d) / _dots(nu, nu1) * nu1
+
+
 class EmbeddedTarget:
     """Base class; concrete targets fill in the closed forms."""
 
@@ -88,12 +103,20 @@ class EmbeddedTarget:
     def _project(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """dpi(y) v: the tangent part of v at y; broadcasts y against v."""
+    def _normal(self, y: np.ndarray) -> np.ndarray:
+        """The unit normal nu at y on the target, in the layout of ``_split``."""
         raise NotImplementedError
 
-    def _d2_projection(self, y: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def _shape(self, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """t -> S t = dnu(y) t on tangent t, in the layout of ``_split``."""
         raise NotImplementedError
+
+    # a hypersurface is its own one factor; the Clifford torus splits into circles
+    def _split(self, x: np.ndarray) -> np.ndarray:
+        return x
+
+    def _join(self, x: np.ndarray) -> np.ndarray:
+        return x
 
     def _medial_margin(self, x: np.ndarray) -> np.ndarray:
         """Distance-like margin to the set where the projection degenerates."""
@@ -105,6 +128,24 @@ class EmbeddedTarget:
 
     def spec(self) -> dict:
         raise NotImplementedError
+
+    # -- closed forms from nu and S -----------------------------------------
+
+    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """dpi(y) v: the tangent part of v at y; broadcasts y against v."""
+        return self._join(_tangent_part(self._normal(y), self._split(v)))
+
+    def _d2_projection(self, y: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self._join(_d2_hypersurface(
+            self._normal(y), self._shape(y), self._split(v), self._split(w)
+        ))
+
+    def chart_inverse(self, y: np.ndarray, y1: np.ndarray) -> np.ndarray:
+        """The tangent u at y with pi(y + u) = y1, for y, y1 on the target
+        closer than ``chart_radius``."""
+        return self._join(_normal_preimage(
+            self._split(y), self._normal(y), self._split(y1), self._normal(y1)
+        ))
 
     # -- guarded public operations ------------------------------------------
 
@@ -206,11 +247,11 @@ class UnitSphere(EmbeddedTarget):
         return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
     # nu = y itself, not y/|y|: on the target they agree to rounding
-    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return _tangent_part(y, v)
+    def _normal(self, y):
+        return y
 
-    def _d2_projection(self, y, v, w):
-        return _d2_hypersurface(y, lambda t: t, v, w)
+    def _shape(self, y):
+        return lambda t: t
 
     def spec(self) -> dict:
         return {"kind": "sphere", "ambient_dim": self.ambient_dim}
@@ -243,32 +284,31 @@ class CliffordTorus(EmbeddedTarget):
     def base_point(self) -> np.ndarray:
         return np.tile([1.0, 0.0], self.circle_count)
 
-    def _pairs(self, x: np.ndarray) -> np.ndarray:
+    def _split(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[:-1] + (self.circle_count, 2))
 
-    def _unpairs(self, x: np.ndarray) -> np.ndarray:
+    def _join(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(x.shape[:-2] + (self.ambient_dim,))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(self._pairs(np.asarray(x, float)), axis=-1)
+        rho = np.linalg.norm(self._split(np.asarray(x, float)), axis=-1)
         return np.linalg.norm(rho - 1.0, axis=-1)
 
     def _medial_margin(self, x: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(self._pairs(np.asarray(x, float)), axis=-1)
+        rho = np.linalg.norm(self._split(np.asarray(x, float)), axis=-1)
         return np.min(rho, axis=-1)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
-        pairs = self._pairs(x)
+        pairs = self._split(x)
         rho = np.linalg.norm(pairs, axis=-1, keepdims=True)
-        return (pairs / rho).reshape(x.shape)
+        return self._join(pairs / rho)
 
     # per factor circle: nu is the raw coordinate pair of y, S the identity
-    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self._unpairs(_tangent_part(self._pairs(y), self._pairs(v)))
+    def _normal(self, y):
+        return self._split(y)
 
-    def _d2_projection(self, y, v, w):
-        d2 = _d2_hypersurface(self._pairs(y), lambda t: t, self._pairs(v), self._pairs(w))
-        return self._unpairs(d2)
+    def _shape(self, y):
+        return lambda t: t
 
     def spec(self) -> dict:
         return {"kind": "clifford_torus", "m": self.circle_count}
@@ -321,12 +361,12 @@ class TorusOfRevolution(EmbeddedTarget):
         _, e, q, s = self._core_decomp(x)
         return self.major_radius * e + self.minor_radius * q / s
 
-    def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def _normal(self, y):
         _, _, q, s = self._core_decomp(y)
-        return _tangent_part(q / s, v)
+        return q / s
 
-    def _d2_projection(self, y, v, w):
-        rho, e, q, s = self._core_decomp(y)
+    def _shape(self, y):
+        rho, e, _, s = self._core_decomp(y)
 
         def shape(t):
             # nu = q/s with q = y - R e: S t = (t - R de(y) t) / s on tangent t
@@ -334,7 +374,7 @@ class TorusOfRevolution(EmbeddedTarget):
             t_h[..., 2] = 0.0
             return (t - self.major_radius * _tangent_part(e, t_h) / rho) / s
 
-        return _d2_hypersurface(q / s, shape, v, w)
+        return shape
 
     def spec(self) -> dict:
         return {"kind": "torus_rev", "R": self.major_radius, "r": self.minor_radius}

@@ -14,7 +14,7 @@ from harmonicflow import (
     identity_sphere_map,
     random_tangent_field,
 )
-from harmonicflow.errors import ChartRadiusExceeded, NewtonDivergence
+from harmonicflow.errors import ChartRadiusExceeded
 from harmonicflow.rng import stream
 
 from oracles import sphere_chart_inverse
@@ -54,28 +54,29 @@ def test_pull_matches_sphere_closed_form(ico2, s2):
     f1 = chart_push(f, u)
     got = chart_pull(f, f1)
     oracle = sphere_chart_inverse(f.values, f1.values)
-    assert np.max(np.linalg.norm(got.values - oracle, axis=1)) <= 1e-10
+    assert np.max(np.linalg.norm(got.values - oracle, axis=1)) <= 1e-14
 
 
-@pytest.mark.parametrize("target_kind", ["sphere", "torus_rev", "clifford"])
+@pytest.mark.parametrize("target_kind", ["sphere", "torus_rev", "torus_rev_inner", "clifford"])
 def test_roundtrip_both_ways(target_kind, ico2, s2):
     if target_kind == "sphere":
         f = identity_sphere_map(ico2, s2)
-    elif target_kind == "torus_rev":
-        f = constant_map(ico2, TorusOfRevolution(2.0, 0.5), np.array([2.5, 0.0, 0.0]))
+    elif target_kind.startswith("torus_rev"):  # outer or inner (saddle) equator
+        x = 2.5 if target_kind == "torus_rev" else 1.5
+        f = constant_map(ico2, TorusOfRevolution(2.0, 0.5), np.array([x, 0.0, 0.0]))
     else:
         mesh = build_flat_torus(12, 12)
         t = mesh.points[:, 0]
         v = mesh.points[:, 1]
         vals = np.stack([np.cos(t), np.sin(t), np.cos(v), np.sin(v)], axis=1)
         f = MapField(vals, CliffordTorus(2), mesh)
-    delta = f.target.tubular_radius()
-    u = scaled_tangent(f, 2, delta / 4)
-    f1 = chart_push(f, u)
-    back = chart_pull(f, f1)
-    assert np.max(np.linalg.norm(back.values - u.values, axis=1)) <= 1e-9
-    again = chart_push(f, back)
-    assert np.max(np.linalg.norm(again.values - f1.values, axis=1)) <= 1e-9
+    for frac in (0.5, 0.99):  # of the chart radius, up to its edge
+        u = scaled_tangent(f, 2, frac * f.target.chart_radius())
+        f1 = chart_push(f, u)
+        back = chart_pull(f, f1)
+        assert np.max(np.linalg.norm(back.values - u.values, axis=1)) <= 1e-14
+        again = chart_push(f, back)
+        assert np.max(np.linalg.norm(again.values - f1.values, axis=1)) <= 1e-14
 
 
 def test_push_radius_guard(ico2, s2):
@@ -90,14 +91,6 @@ def test_pull_radius_guard(ico2, s2):
     g = constant_map(ico2, s2, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(ChartRadiusExceeded):
         chart_pull(f, g)
-
-
-def test_pull_reports_divergence_when_starved(ico2, s2):
-    f = identity_sphere_map(ico2, s2)
-    u = scaled_tangent(f, 4, 0.3)
-    f1 = chart_push(f, u)
-    with pytest.raises(NewtonDivergence):
-        chart_pull(f, f1, max_iter=0)
 
 
 def test_c4_approaches_one_at_small_radius(ico2, s2):

@@ -386,6 +386,17 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     pytest.param("mult-probe", "mult_probe", {"k": "1", "p": "2"}, id="mult_probe-k1-p2"),
     pytest.param("hessian-spec", "hessian", {"n_modes": "0"}, id="n_modes-0"),
     pytest.param("loja-fit", "loja_fit", {"window_lo": "1e-3"}, id="window_lo-alone"),
+    pytest.param("loja-fit", "loja_fit", {"window_lo": "1e-2", "window_hi": "1e-3"},
+                 id="window-inverted"),
+    pytest.param("flow", "flow", {"dist_p": "0.5"}, id="dist_p-0.5"),
+    pytest.param("chart-audit", "chart_audit", {"p": "0.5"}, id="chart_audit-p-0.5"),
+    pytest.param("chart-audit", "chart_audit", {"radius": "-0.1"}, id="chart_audit-radius--0.1"),
+    pytest.param("chart-audit", "chart_audit", {"samples": "0"}, id="chart_audit-samples-0"),
+    pytest.param("hessian-spec", "hessian", {"kernel_tol": "0"}, id="kernel_tol-0"),
+    pytest.param("hessian-spec", "hessian", {"kernel_tol": "-0.5"}, id="kernel_tol--0.5"),
+    pytest.param("verify", "verify", {"count": "0"}, id="verify-count-0"),
+    pytest.param("verify", "verify", {"sigma": "-0.1"}, id="verify-sigma--0.1"),
+    pytest.param("mult-probe", "mult_probe", {"trials": "-1"}, id="mult_probe-trials--1"),
     pytest.param("flow", "initial_map", {"kind": "from_checkpoint", "path": "missing.json"},
                  id="missing-checkpoint"),
 ])

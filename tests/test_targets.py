@@ -203,7 +203,7 @@ def test_projector_kills_normals_fixes_tangents():
         assert np.all(np.linalg.norm(t - tangent, axis=-1) <= 1e-15 * size)
         assert np.max(np.abs(target.tangent_project(y, t) - t)) <= 1e-12
         assert np.max(np.abs(target.tangent_project(y, normal))) <= 1e-12
-        # chart_pull's shape: y (V, 1, n) against k vectors per vertex (V, k, n)
+        # batched: y (V, 1, n) broadcast against k vectors per vertex (V, k, n)
         frames = rng.standard_normal((y.shape[0], 3, target.ambient_dim))
         batched = target.tangent_project(y[:, None, :], frames)
         assert batched.shape == frames.shape
