@@ -31,18 +31,22 @@ def fmt(x: float) -> str:
 
 
 def save_checkpoint(f: MapField, metadata: dict, path: str) -> None:
-    payload = {
+    """Writes what json.dump(..., sort_keys=True, indent=1) writes for these fields,
+    floats as ``fmt`` strings, and a newline; the values block is one %-format."""
+    head = json.dumps({
         "format_version": FORMAT_VERSION,
         "mesh": f.mesh.spec,
         "target": f.target.spec(),
         "metadata": {
             k: (fmt(v) if isinstance(v, float) else v) for k, v in metadata.items()
         },
-        "values": [[fmt(x) for x in row] for row in f.values],
-    }
+        "values": 0,  # the last key in sorted order: its value ends the text
+    }, sort_keys=True, indent=1)
+    rows, cols = f.values.shape
+    row = "  [\n" + ",\n".join(['   "%.17g"'] * cols) + "\n  ]"  # "%.17g" % x == fmt(x)
+    values = "[\n" + ",\n".join([row] * rows) % tuple(f.values.ravel().tolist()) + "\n ]"
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(head[: -len("0\n}")] + values + "\n}\n")
 
 
 def load_checkpoint(

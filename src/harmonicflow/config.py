@@ -45,14 +45,19 @@ def _analyses(s: str) -> list[str]:
     return items
 
 
-def _positive(typ):
-    """Parser for a number of type ``typ`` that must be finite and > 0."""
+def _number(typ, ok, what: str):
+    """Parser for a number of type ``typ`` with ``ok(v)`` true; NaN fails every ``ok``."""
     def parse(s: str):
         v = typ(s)
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError("must be finite and > 0")
+        if not ok(v):
+            raise ValueError(f"must be {what}")
         return v
     return parse
+
+
+def _positive(typ):
+    """Parser for a number of type ``typ`` that must be finite and > 0."""
+    return _number(typ, lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 def _order(s: str) -> int:
@@ -135,9 +140,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "flow": {
         "dt0": (_positive(float), _FLOW.dt0),
         "dt_min": (_positive(float), _FLOW.dt_min),
-        "max_steps": (int, _FLOW.max_steps),
-        "max_time": (float, _FLOW.max_time),
-        "grad_tol": (float, _FLOW.grad_tol),
+        "max_steps": (_positive(int), _FLOW.max_steps),
+        "max_time": (_number(float, lambda v: v > 0, "> 0"), _FLOW.max_time),  # inf: no limit
+        "grad_tol": (_number(float, lambda v: 0 <= v < math.inf, "in [0, inf)"), _FLOW.grad_tol),
         "checkpoint_every": (int, _FLOW.checkpoint_every),
         "write_checkpoints": (_bool, False),
         "dist_k": (_order, _FLOW.dist_norm[0]),
@@ -153,8 +158,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "k": (_order, 1),
         "p": (_exponent, 3.0),  # k = 1, p = 2 is inadmissible on every 2-D source
         "variant": (_one_of(VARIANTS), "l2"),
-        "theta": (float, 0.5),
-        "z": (float, 0.9),
+        "theta": (_number(float, lambda v: 0.5 <= v < 1, "in the paper's [1/2, 1)"), 0.5),
+        "z": (_positive(float), 0.9),
         "norm": (_one_of(("l2", "wk")), "l2"),
     },
     "hessian": {

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ChartRadiusExceeded, InsufficientSamples
 from .fields import MapField, TangentField
-from .meshes import l2_norm, sobolev_norm
+from .meshes import row_dots, sobolev_norm
 from .energy import energy, tension
 
 __all__ = ["FlowControl", "FlowSample", "FlowTrace", "run_flow", "dissipation_check"]
@@ -88,7 +88,8 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
 
     while True:
         m = tension(f)
-        gn = l2_norm(f.mesh, m.values)
+        r = row_dots(m.values, m.values)  # one pass gives |M|_L2 and |M|_inf
+        gn = math.sqrt(float(np.dot(f.mesh.area, r)))
         trace.samples.append(FlowSample(t, e_cur, gn, float("nan"), last_dt))
         if ctl.checkpoint_every > 0 and accepted % ctl.checkpoint_every == 0:
             trace.checkpoints.append((accepted, f.values.copy()))
@@ -103,7 +104,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
             trace.terminated_by = "max_time"
             break
 
-        sup = m.linf()
+        sup = math.sqrt(float(r.max()))
         while dt > 0 and dt >= ctl.dt_min:
             if dt * sup >= delta:  # keep the displacement inside the chart radius
                 dt *= 0.5

@@ -18,7 +18,7 @@ Discretizations:
     stiffness symbol, a three-tap filter.
   * flat torus: uniform grid, standard five-point stencil, per-edge chords.
   * round sphere: icosphere with cotangent weights and barycentric areas,
-    per-face affine-interpolant gradients.
+    per-face affine-interpolant gradients, two rows per face (face frame).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "MESH_KINDS",
     "laplace_beltrami_apply",
     "l2_inner",
+    "row_dots",
     "lp_norm",
     "sobolev_norm",
     "mode_basis",
@@ -269,7 +270,6 @@ def build_icosphere(level: int) -> SourceMesh:
     normal = np.cross(e1, e2)
     double_area = np.linalg.norm(normal, axis=1)
     face_area = 0.5 * double_area
-    nhat = normal / double_area[:, None]
 
     # cotangent edge weights: cot(angle at corner k) pairs with the opposite edge
     cot = np.empty((F, 3))
@@ -287,32 +287,25 @@ def build_icosphere(level: int) -> SourceMesh:
     np.add.at(area, faces[:, 1], face_area / 3.0)
     np.add.at(area, faces[:, 2], face_area / 3.0)
 
-    # per-face affine gradient rows: grad phi_k = (nhat x e_k) / (2 A); three
-    # Cartesian component rows per face, scaled by sqrt(A) so D^T D = K
-    gphi = np.stack(
-        [np.cross(nhat, e0), np.cross(nhat, e1), np.cross(nhat, e2)], axis=1
-    ) / double_area[:, None, None]  # (F, corner, 3)
-    rows, cols, vals = [], [], []
-    for c_ax in range(3):
-        base = np.arange(F) * 3 + c_ax
-        for k in range(3):
-            rows.append(base)
-            cols.append(faces[:, k])
-            vals.append(np.sqrt(face_area) * gphi[:, k, c_ax])
-    D = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(3 * F, V),
-    )
-    sc_rows, sc_cols, sc_vals = [], [], []
-    for c_ax in range(3):
-        base = np.arange(F) * 3 + c_ax
-        for k in range(3):
-            sc_rows.append(faces[:, k])
-            sc_cols.append(base)
-            sc_vals.append(np.full(F, 1.0 / 3.0))
+    # per-face affine gradient rows, scaled by sqrt(A) so D^T D = K.  The
+    # gradient lies in the face plane, so its components in the orthonormal
+    # face frame t1 = e0/|e0|, t2 = nhat x t1 carry all of |grad f|^2: two rows
+    # per face, not three Cartesian ones.  Along t1 it is the edge difference
+    # (f_2 - f_1)/|e0| (two taps); along t2, with grad phi_k = (nhat x e_k)/(2A),
+    # grad phi_k . t2 = (e_k . t1)/(2A).  Each row's density goes 1/3 to each corner.
+    len0 = np.linalg.norm(e0, axis=1)
+    t1 = e0 / len0[:, None]
+    root_area = np.sqrt(face_area)
+    across = np.stack([np.sum(e * t1, axis=1) for e in (e0, e1, e2)], axis=1)
+    vals = np.column_stack([-root_area / len0, root_area / len0,
+                            across / (2.0 * root_area[:, None])])  # (F, 5)
+    rows = 2 * np.arange(F)[:, None] + np.array([0, 0, 1, 1, 1])
+    cols = faces[:, [1, 2, 0, 1, 2]]
+    D = sp.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(2 * F, V))
+    corners = np.repeat(faces, 2, axis=0)  # (2F, 3): the face of each row
     scatter = sp.csr_matrix(
-        (np.concatenate(sc_vals), (np.concatenate(sc_rows), np.concatenate(sc_cols))),
-        shape=(V, 3 * F),
+        (np.full(corners.size, 1.0 / 3.0), (corners.ravel(), np.repeat(np.arange(2 * F), 3))),
+        shape=(V, 2 * F),
     )
 
     return SourceMesh(
@@ -364,7 +357,17 @@ def laplace_beltrami_apply(mesh: SourceMesh, f: np.ndarray) -> np.ndarray:
     """Componentwise Delta f = (K f) / area (nonnegative spectrum)."""
     f = _check_field(mesh, f)
     Kf = mesh.stiffness @ f
-    return Kf / (mesh.area[:, None] if f.ndim > 1 else mesh.area)
+    return np.divide(Kf, mesh.area[:, None] if f.ndim > 1 else mesh.area, out=Kf)
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_c a_c b_c over the last axis, one column at a time: the sum np.sum
+    forms for fewer than 8 columns, without its slow short-axis reduction."""
+    p = a * b
+    out = p[..., 0] + p[..., 1] if p.shape[-1] > 1 else p[..., 0].copy()
+    for c in range(2, p.shape[-1]):
+        out += p[..., c]
+    return out
 
 
 def l2_inner(mesh: SourceMesh, u: np.ndarray, v: np.ndarray) -> float:
@@ -373,7 +376,7 @@ def l2_inner(mesh: SourceMesh, u: np.ndarray, v: np.ndarray) -> float:
     v = _check_field(mesh, v)
     if u.shape != v.shape:
         raise ShapeMismatch(f"shapes {u.shape} and {v.shape} differ")
-    pointwise = u * v if u.ndim == 1 else np.sum(u * v, axis=1)
+    pointwise = u * v if u.ndim == 1 else row_dots(u, v)
     return float(np.dot(mesh.area, pointwise))
 
 

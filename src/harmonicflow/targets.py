@@ -40,6 +40,7 @@ from .errors import (
     NotOnTarget,
     OutsideTubularNeighborhood,
 )
+from .meshes import row_dots
 
 # Absolute, so the check is one distance pass: projected points sit within
 # rounding (~1e-16 times the target's extent, at most R + r) of the target.
@@ -53,7 +54,7 @@ CHART_SAFETY = 0.5
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(a * b, axis=-1, keepdims=True)
+    return row_dots(a, b)[..., None]
 
 
 def _tangent_part(nu: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -101,6 +102,7 @@ class EmbeddedTarget:
         return self.tubular_radius() * CHART_SAFETY
 
     def _project(self, x: np.ndarray) -> np.ndarray:
+        """pi(x) for finite x; checks each radius with _require_off_medial before dividing."""
         raise NotImplementedError
 
     def _normal(self, y: np.ndarray) -> np.ndarray:
@@ -117,10 +119,6 @@ class EmbeddedTarget:
 
     def _join(self, x: np.ndarray) -> np.ndarray:
         return x
-
-    def _medial_margin(self, x: np.ndarray) -> np.ndarray:
-        """Distance-like margin to the set where the projection degenerates."""
-        raise NotImplementedError
 
     def base_point(self) -> np.ndarray:
         """A canonical point on the target (default for constant maps)."""
@@ -159,15 +157,18 @@ class EmbeddedTarget:
         are rejected too, so every returned point is on the target.
         """
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        # not left to the margins: z = inf on the torus passes both of them
+        if not np.isfinite(x).all():
             raise OutsideTubularNeighborhood("non-finite point has no projection")
-        margin = self._medial_margin(x)
-        if np.any(margin <= 1e-12):
+        return self._project(x)
+
+    def _require_off_medial(self, margin: np.ndarray) -> None:
+        """Raise unless every distance-like margin to the medial set exceeds 1e-12."""
+        if not (margin > 1e-12).all():  # NaN fails too
             raise OutsideTubularNeighborhood(
                 f"point within {float(np.min(margin)):.3e} of the projection's "
                 f"degenerate set (tube radius {self.tubular_radius():.3e})"
             )
-        return self._project(x)
 
     def require_on_target(self, y: np.ndarray) -> None:
         """Raise NotOnTarget unless every point is finite and on the target."""
@@ -240,11 +241,10 @@ class UnitSphere(EmbeddedTarget):
         x = np.asarray(x, dtype=float)
         return np.abs(np.linalg.norm(x, axis=-1) - 1.0)
 
-    def _medial_margin(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
-
     def _project(self, x: np.ndarray) -> np.ndarray:
-        return x / np.linalg.norm(x, axis=-1, keepdims=True)
+        rho = np.sqrt(_dots(x, x))
+        self._require_off_medial(rho)
+        return x / rho
 
     # nu = y itself, not y/|y|: on the target they agree to rounding
     def _normal(self, y):
@@ -294,13 +294,10 @@ class CliffordTorus(EmbeddedTarget):
         rho = np.linalg.norm(self._split(np.asarray(x, float)), axis=-1)
         return np.linalg.norm(rho - 1.0, axis=-1)
 
-    def _medial_margin(self, x: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(self._split(np.asarray(x, float)), axis=-1)
-        return np.min(rho, axis=-1)
-
     def _project(self, x: np.ndarray) -> np.ndarray:
         pairs = self._split(x)
-        rho = np.linalg.norm(pairs, axis=-1, keepdims=True)
+        rho = np.sqrt(_dots(pairs, pairs))
+        self._require_off_medial(rho)
         return self._join(pairs / rho)
 
     # per factor circle: nu is the raw coordinate pair of y, S the identity
@@ -337,12 +334,15 @@ class TorusOfRevolution(EmbeddedTarget):
         return np.array([self.major_radius + self.minor_radius, 0.0, 0.0])
 
     def _core_decomp(self, x: np.ndarray):
+        """rho = |x_h|, e = x_h/rho, q = x - R e, s = |q|; each checked before it divides."""
         h = x.copy()
         h[..., 2] = 0.0
-        rho = np.linalg.norm(h, axis=-1, keepdims=True)
+        rho = np.sqrt(_dots(h, h))
+        self._require_off_medial(rho)  # the axis
         e = h / rho
         q = x - self.major_radius * e
-        s = np.linalg.norm(q, axis=-1, keepdims=True)
+        s = np.sqrt(_dots(q, q))
+        self._require_off_medial(s)  # the core circle
         return rho, e, q, s
 
     def distance(self, x: np.ndarray) -> np.ndarray:
@@ -350,12 +350,6 @@ class TorusOfRevolution(EmbeddedTarget):
         h = np.linalg.norm(x[..., :2], axis=-1)
         d_core = np.hypot(h - self.major_radius, x[..., 2])
         return np.abs(d_core - self.minor_radius)
-
-    def _medial_margin(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        rho = np.linalg.norm(x[..., :2], axis=-1)
-        d_core = np.hypot(rho - self.major_radius, x[..., 2])
-        return np.minimum(rho, d_core)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         _, e, q, s = self._core_decomp(x)

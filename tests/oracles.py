@@ -7,7 +7,10 @@ differences, and energies against analytic integrals.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+import scipy.sparse as sp
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -104,3 +107,48 @@ def dual_norm_per_field(mesh, m: np.ndarray, p: float, probes: int = 32) -> floa
         if nv > 0.0:
             best = max(best, abs(l2_inner(mesh, m, v)) / nv)
     return best
+
+
+def json_checkpoint_text(f, metadata: dict) -> str:
+    """A checkpoint's text as ``json.dump`` writes it: the reference encoder
+    for ``save_checkpoint``, with every float as 17 significant digits."""
+    fmt = lambda x: f"{float(x):.17g}"
+    payload = {
+        "format_version": 1,
+        "mesh": f.mesh.spec,
+        "target": f.target.spec(),
+        "metadata": {k: (fmt(v) if isinstance(v, float) else v) for k, v in metadata.items()},
+        "values": [[fmt(x) for x in row] for row in f.values],
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+def cartesian_icosphere_stencil(mesh):
+    """The icosphere gradient stencil with three Cartesian rows per face.
+
+    Row (face, axis c) holds sqrt(A) (grad phi_k)_c at corner k, with
+    grad phi_k = (nhat x e_k) / (2 A); its density goes 1/3 to each corner.
+    Returns (D, scatter) of shapes (3F, V) and (V, 3F).
+    """
+    verts = mesh.points
+    # the faces: the corner triples the mesh scatters each of its D rows to,
+    # two rows per face; corner order does not matter, as the normal and the
+    # edges flip together under an odd permutation
+    faces = mesh.diff_scatter.tocsc().indices.reshape(-1, 3)[::2]
+    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    edges = [p2 - p1, p0 - p2, p1 - p0]  # opposite each corner
+    normal = np.cross(edges[1], edges[2])
+    double_area = np.linalg.norm(normal, axis=1)
+    nhat = normal / double_area[:, None]
+    F, V = faces.shape[0], verts.shape[0]
+    rows, cols, vals = [], [], []
+    for c in range(3):
+        for k in range(3):
+            rows.append(3 * np.arange(F) + c)
+            cols.append(faces[:, k])
+            grad = np.cross(nhat, edges[k])[:, c] / double_area
+            vals.append(np.sqrt(0.5 * double_area) * grad)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    D = sp.csr_matrix((np.concatenate(vals), (rows, cols)), shape=(3 * F, V))
+    scatter = sp.csr_matrix((np.full(rows.size, 1.0 / 3.0), (cols, rows)), shape=(V, 3 * F))
+    return D, scatter

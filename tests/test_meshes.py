@@ -20,8 +20,10 @@ from harmonicflow.errors import (
     ShapeMismatch,
     UnsupportedOrder,
 )
-from harmonicflow.meshes import l2_norm, mode_basis, random_scalar_field
+from harmonicflow.meshes import l2_norm, mode_basis, random_scalar_field, row_dots
 from harmonicflow.rng import stream
+
+from oracles import cartesian_icosphere_stencil
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,32 @@ def test_density_identity_sphere_is_two(ico4):
     df = ico4.diff @ ico4.points
     dens = (ico4.diff_scatter @ np.sum(df * df, axis=1)) / ico4.area
     assert np.max(np.abs(dens - 2.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (50, 2), (50, 3), (20, 4, 3), (7,), (30, 7)])
+def test_row_dots_is_np_sum_bitwise(shape):
+    # the column-by-column sum is the one np.sum forms for fewer than 8 columns
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    assert np.array_equal(row_dots(a, b), np.sum(a * b, axis=-1))
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_icosphere_two_row_stencil_matches_cartesian_rows(level):
+    # two face-frame rows per face carry the same |grad f|^2 as three
+    # Cartesian rows: the energy and the per-vertex density agree
+    mesh = build_icosphere(level)
+    assert mesh.diff.shape == (2 * 20 * 4**level, mesh.vertex_count)  # 2 rows, F faces
+    D3, scatter3 = cartesian_icosphere_stencil(mesh)
+    x, y, z = mesh.points.T
+    f = np.stack([x * y, np.sin(3 * z), z], axis=1)
+    df2, df3 = mesh.diff @ f, D3 @ f
+    e2, e3 = 0.5 * np.sum(df2 * df2), 0.5 * np.sum(df3 * df3)
+    assert abs(e2 - e3) <= 1e-14 * e3
+    dens2 = mesh.diff_scatter @ (df2 * df2) / mesh.area[:, None]
+    dens3 = scatter3 @ (df3 * df3) / mesh.area[:, None]
+    # relative to each component's largest density: all three vanish at the poles
+    assert np.all(np.abs(dens2 - dens3) <= 1e-14 * np.max(dens3, axis=0))
 
 
 def test_sobolev_norm_constant_k0(ico4):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,8 @@ from harmonicflow.errors import (
 from harmonicflow.flow import FlowSample, FlowTrace
 from harmonicflow.rng import stream
 
+from oracles import json_checkpoint_text
+
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -55,6 +58,17 @@ def test_checkpoint_roundtrip_bit_identical(ico2, s2, tmp_path):
     assert np.array_equal(g.values, f.values)
     assert meta["step"] == 3
     assert float(meta["time"]) == 0.125
+
+
+def test_checkpoint_bytes_equal_json_dump(ico2, s2, tmp_path):
+    f = perturbed_constant_map(ico2, s2, 0.1, stream(1, "ck"))
+    f.values[0] = [-0.0, 5e-324, 1.0]  # signed zero and the smallest subnormal
+    meta = {"step": 3, "time": 0.1, "energy": -0.0, "tiny": 5e-324, "label": "x"}
+    path = tmp_path / "ck.json"
+    save_checkpoint(f, meta, str(path))
+    assert path.read_bytes() == json_checkpoint_text(f, meta).encode()
+    save_checkpoint(f, {}, str(path))
+    assert path.read_bytes() == json_checkpoint_text(f, {}).encode()
 
 
 def test_checkpoint_self_contained_reload(ico2, s2, tmp_path):
@@ -279,6 +293,11 @@ def test_minimal_flow_section_is_flow_control_defaults(tmp_path):
     assert flow_control_from_config(scn.flow) == FlowControl()
 
 
+def test_max_time_inf_parses(tmp_path):
+    scn = parse_config(minimal_cfg(tmp_path, flow={"max_time": "inf"}))
+    assert scn.flow["max_time"] == math.inf
+
+
 # one valid example per kind; a kind added to a table needs an example here
 MESH_EXAMPLES = {
     "circle": {"n": 16},
@@ -399,6 +418,15 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     pytest.param("mult-probe", "mult_probe", {"trials": "-1"}, id="mult_probe-trials--1"),
     pytest.param("flow", "initial_map", {"kind": "from_checkpoint", "path": "missing.json"},
                  id="missing-checkpoint"),
+    # stop values: NaN would switch a stop off, a negative one runs no step
+    pytest.param("flow", "flow", {"grad_tol": "nan"}, id="grad_tol-nan"),
+    pytest.param("flow", "flow", {"max_steps": "-5"}, id="max_steps--5"),
+    pytest.param("flow", "flow", {"max_time": "-1"}, id="max_time--1"),
+    pytest.param("flow", "flow", {"max_time": "nan"}, id="max_time-nan"),
+    # the inequality's exponent lies in [1/2, 1)
+    pytest.param("verify", "verify", {"theta": "2"}, id="theta-2"),
+    pytest.param("verify", "verify", {"theta": "0.4"}, id="theta-0.4"),
+    pytest.param("verify", "verify", {"z": "0"}, id="z-0"),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, analysis, section, keys):
     path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": analysis}, **{section: keys})

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,11 +41,15 @@ def test_sphere_projection_fixes_on_target_point():
     assert np.allclose(s.project_to_target(x), x, atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+# the last coordinate is the torus's z: z = inf passes both medial margins
+@pytest.mark.parametrize("bad,coord", [
+    pytest.param(bad, coord, id=f"{bad}{'' if coord == 0 else '-last'}")
+    for coord in (0, -1) for bad in (np.nan, np.inf, -np.inf)
+])
 @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind + str(t.ambient_dim))
-def test_projection_rejects_non_finite(target, bad):
+def test_projection_rejects_non_finite(target, bad, coord):
     x = random_on_target(target, np.random.default_rng(0), count=4)
-    x[2, 0] = bad
+    x[2, coord] = bad
     with pytest.raises(OutsideTubularNeighborhood):
         target.project_to_target(x)
 
@@ -90,13 +96,19 @@ def test_clifford_projection_per_factor():
 
 
 def test_projection_rejects_degenerate_points():
-    with pytest.raises(OutsideTubularNeighborhood):
-        UnitSphere(3).project_to_target(np.zeros(3))
-    with pytest.raises(OutsideTubularNeighborhood):
-        CliffordTorus(2).project_to_target(np.array([1.0, 0.0, 0.0, 0.0]))
-    with pytest.raises(OutsideTubularNeighborhood):
-        # on the symmetry axis: nearest point not unique
-        TorusOfRevolution(2.0, 0.5).project_to_target(np.array([0.0, 0.0, 0.3]))
+    # rejected before any division by a zero radius: no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(OutsideTubularNeighborhood):
+            UnitSphere(3).project_to_target(np.zeros(3))
+        with pytest.raises(OutsideTubularNeighborhood):
+            CliffordTorus(2).project_to_target(np.array([1.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(OutsideTubularNeighborhood):
+            # on the symmetry axis: nearest point not unique
+            TorusOfRevolution(2.0, 0.5).project_to_target(np.array([0.0, 0.0, 0.3]))
+        with pytest.raises(OutsideTubularNeighborhood):
+            # on the core circle
+            TorusOfRevolution(2.0, 0.5).project_to_target(np.array([2.0, 0.0, 0.0]))
 
 
 def test_projection_roundtrip_identity_on_target():
