@@ -226,12 +226,8 @@ def run_scenario(
     config_path: str,
     out_override: str | None = None,
     only_analysis: str | None = None,
-    threads: int = 1,
 ) -> int:
     t_start = time.monotonic()
-    if threads != 1:
-        print("note: only --threads 1 is implemented; continuing single-threaded",
-              file=sys.stderr)
     try:
         scn = parse_config(config_path)
     except CONFIG_ERRORS as exc:
@@ -287,8 +283,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Harmonic map energy laboratory: flows, Hessian spectra, "
         "and gradient-inequality verification on discretized closed manifolds.",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads (only 1 guarantees bit determinism)")
+    parser.add_argument("--threads", type=int, default=1, choices=[1],
+                        help="worker threads: 1, the one implemented mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("run", *ANALYSES):
@@ -311,8 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if verdict.admissible else 2
 
     only = None if args.command == "run" else args.command
-    return run_scenario(args.config, out_override=args.out,
-                        only_analysis=only, threads=args.threads)
+    return run_scenario(args.config, out_override=args.out, only_analysis=only)
 
 
 if __name__ == "__main__":

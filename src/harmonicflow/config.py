@@ -80,8 +80,12 @@ def _opt_float(s: str) -> float | None:
     return None if s.strip().lower() == "auto" else _positive(float)(s)
 
 
-def _opt_int(s: str) -> int | None:
-    return None if s.strip().lower() in ("", "none") else int(s)
+_count = _number(int, lambda v: v >= 0, "an int >= 0")
+
+
+def _opt_count(s: str) -> int | None:
+    """``none`` (None) or an int >= 0."""
+    return None if s.strip().lower() in ("", "none") else _count(s)
 
 
 def _one_of(choices):
@@ -119,16 +123,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "n": (int, None),
         "nu": (int, None),
         "nv": (int, None),
-        "lu": (float, FLAT_TORUS_SIDE),
-        "lv": (float, FLAT_TORUS_SIDE),
+        "lu": (_positive(float), FLAT_TORUS_SIDE),
+        "lv": (_positive(float), FLAT_TORUS_SIDE),
         "level": (int, None),
     },
     "target": {
         "kind": (_one_of(TARGET_KINDS), REQUIRED),
         "ambient_dim": (int, None),
         "m": (int, None),
-        "R": (float, None),
-        "r": (float, None),
+        "R": (_positive(float), None),
+        "r": (_positive(float), None),
     },
     "initial_map": {
         "kind": (_one_of(INITIAL_MAP_KINDS), REQUIRED),
@@ -143,7 +147,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "max_steps": (_positive(int), _FLOW.max_steps),
         "max_time": (_number(float, lambda v: v > 0, "> 0"), _FLOW.max_time),  # inf: no limit
         "grad_tol": (_number(float, lambda v: 0 <= v < math.inf, "in [0, inf)"), _FLOW.grad_tol),
-        "checkpoint_every": (int, _FLOW.checkpoint_every),
+        "checkpoint_every": (_count, _FLOW.checkpoint_every),  # 0: off
         "write_checkpoints": (_bool, False),
         "dist_k": (_order, _FLOW.dist_norm[0]),
         "dist_p": (_exponent, _FLOW.dist_norm[1]),
@@ -164,7 +168,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "hessian": {
         "kernel_tol": (_opt_float, None),
-        "expected_critical_dim": (_opt_int, None),
+        "expected_critical_dim": (_opt_count, None),
         "n_modes": (_positive(int), 32),
     },
     "chart_audit": {

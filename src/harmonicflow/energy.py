@@ -147,11 +147,6 @@ class HessianOperator:
     mass: np.ndarray
     asymmetry_rel: float
 
-    def symmetrized_dense(self) -> np.ndarray:
-        """Mass-symmetrized dense matrix A^{-1/2} F A^{-1/2}."""
-        s = 1.0 / np.sqrt(self.mass)
-        return self.form.toarray() * np.outer(s, s)
-
 
 def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
     """Block-diagonal matrix with the (V, r, c) stack ``blocks`` on its diagonal."""
@@ -228,17 +223,17 @@ def hessian_spectrum(
     index counts the (computed) eigenvalues below -kernel_tol.
     """
     dim = op.form.shape[0]
+    s = 1.0 / np.sqrt(op.mass)
+    A = sp.diags(s) @ op.form @ sp.diags(s)  # mass-symmetrized M^{-1/2} F M^{-1/2}
     if dim <= DENSE_EIG_LIMIT:
         try:
-            vals = np.linalg.eigvalsh(op.symmetrized_dense())
+            vals = np.linalg.eigvalsh(A.toarray())
         except np.linalg.LinAlgError as exc:
             raise EigensolveFailure(str(exc)) from exc
         lam_max = float(vals[-1])
         partial = False
     else:
         k = min(n_modes, dim - 2)
-        s = 1.0 / np.sqrt(op.mass)
-        A = sp.diags(s) @ op.form @ sp.diags(s)
         lam_max = _largest_eigenvalue(A)
         sigma = -1e-6 * max(lam_max, 1.0)
         try:

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import chart_push
-from .energy import HessianSpectrum, energy, hessian_matrix, hessian_spectrum, tension
+from .energy import HessianSpectrum, energy, grad_l2_norm, hessian_matrix, hessian_spectrum, tension
 from .errors import (
     DegenerateWindow,
     InsufficientDecades,
@@ -210,7 +210,7 @@ def _gap_grad_pairs(
         gns = source.grad_norms()
     else:
         gaps = np.array([abs(energy(f) - e_inf) for f in source])
-        gns = np.array([l2_norm(f.mesh, tension(f).values) for f in source])
+        gns = np.array([grad_l2_norm(f) for f in source])
     return gaps, gns
 
 
@@ -277,7 +277,7 @@ def morse_bott_report(
 
 def require_critical(f_inf: MapField, grad_tol: float) -> None:
     """Raise NotCritical unless |M(f_inf)|_L2 <= 10 grad_tol."""
-    gn = l2_norm(f_inf.mesh, tension(f_inf).values)
+    gn = grad_l2_norm(f_inf)
     if gn > 10.0 * grad_tol:
         raise NotCritical(f"|M(f_inf)| = {gn:.3e} > 10 * {grad_tol:.1e}")
 

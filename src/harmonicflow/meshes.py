@@ -1,24 +1,25 @@
 """Discretized closed source manifolds.
 
-A mesh carries a lumped mass vector ``area``, a stiffness matrix ``K`` and a
-gradient-stencil matrix ``D`` with row-to-vertex scatter weights.  They are
-built to satisfy, for every vertex function f,
+A mesh carries a lumped mass vector ``area`` and a gradient-stencil matrix
+``D`` with row-to-vertex scatter weights; each kind defines these, and the
+stiffness matrix is K = D^T D, formed in one place (``_source_mesh``).  So for
+every vertex function f
 
-    f^T K f  =  sum_rows |D f|^2  =  integral of |grad f|^2,
+    f^T K f  =  sum_rows |D f|^2  ~  integral of |grad f|^2,
 
-so the harmonic map energy is E(f) = 1/2 sum_rows |D f|^2 (energy.energy),
-with K symmetric positive semidefinite and K 1 = 0 holding bitwise (diagonal
-assembled as the negated off-diagonal row sum).  The Laplacian follows the
-nonnegative convention Delta = -div grad, applied as (K f) / area.
+and the harmonic map energy is E(f) = 1/2 sum_rows |D f|^2 (energy.energy).
+K is bitwise symmetric and positive semidefinite; its row sums, folded into
+the diagonal, vanish within rounding (|K 1| <= 1e-14 max|K|).  The Laplacian
+follows the nonnegative convention Delta = -div grad, applied as (K f) / area.
 
 Discretizations:
-  * circle: uniform grid, five-point fourth-order stencil (the second-order
-    chordal form is not accurate enough for the degree-ated energy checks);
-    the matching gradient stencil is the spectral factorization of the
-    stiffness symbol, a three-tap filter.
-  * flat torus: uniform grid, standard five-point stencil, per-edge chords.
-  * round sphere: icosphere with cotangent weights and barycentric areas,
-    per-face affine-interpolant gradients, two rows per face (face frame).
+  * circle: uniform grid; D is a three-tap filter, the spectral factorization
+    of the five-point fourth-order stiffness symbol (the second-order chordal
+    form is not accurate enough for the degree-k energy checks).
+  * flat torus: uniform grid, one chord difference per edge; K is the
+    five-point graph Laplacian.
+  * round sphere: icosphere with barycentric areas, per-face affine-interpolant
+    gradients, two rows per face (face frame); K is the cotangent Laplacian.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ __all__ = [
 class SourceMesh:
     points: np.ndarray          # parameter/embedding coords per vertex
     area: np.ndarray            # lumped mass per vertex, (V,)
-    stiffness: sp.csr_matrix    # K, symmetric PSD, K 1 = 0 bitwise
+    stiffness: sp.csr_matrix    # K = D^T D, bitwise symmetric, K 1 = 0 to rounding
     diff: sp.csr_matrix         # D, (m, V) gradient stencil rows
     diff_scatter: sp.csr_matrix  # (V, m), row weights sum to 1 per row
     spec: dict                  # {"kind": ..., builder arguments}
@@ -81,6 +82,24 @@ class SourceMesh:
 # ---------------------------------------------------------------------------
 # builders
 
+def _source_mesh(points, area, D, scatter, spec) -> SourceMesh:
+    """The mesh with gradient stencil D; its stiffness is K = D^T D."""
+    K = _zero_row_sums((D.T @ D).tocsr())
+    return SourceMesh(points=points, area=area, stiffness=K, diff=D, diff_scatter=scatter,
+                      spec=spec)
+
+
+def _zero_row_sums(K: sp.csr_matrix, sweeps: int = 3) -> sp.csr_matrix:
+    """Fold any matvec-order rounding defect of K @ 1 back into the diagonal."""
+    ones = np.ones(K.shape[0])
+    for _ in range(sweeps):
+        defect = K @ ones
+        if not np.any(defect):
+            break
+        K = K - sp.diags(defect)
+    return K.tocsr()
+
+
 def build_circle(n: int) -> SourceMesh:
     """Uniform n-vertex grid on the unit circle."""
     if n < 8:
@@ -89,27 +108,10 @@ def build_circle(n: int) -> SourceMesh:
     h = 2.0 * math.pi / n
     theta = h * np.arange(n)
     area = np.full(n, h)
-
-    # fourth-order stiffness: symbol (1-c)(7-c)/(3h) after mass pairing
-    off1 = -4.0 / (3.0 * h)
-    off2 = 1.0 / (12.0 * h)
     idx = np.arange(n)
-    rows, cols, vals = [], [], []
-    for shift, w in ((1, off1), (-1, off1), (2, off2), (-2, off2)):
-        rows.append(idx)
-        cols.append((idx + shift) % n)
-        vals.append(np.full(n, w))
-    diag = -(off1 + off1 + off2 + off2)  # bitwise-zero row sums
-    rows.append(idx)
-    cols.append(idx)
-    vals.append(np.full(n, diag))
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    K = _zero_row_sums(K)
 
-    # spectral factorization of the stencil: 3-tap filter g with |ghat|^2 = h*symbol
+    # 3-tap filter g with |ghat|^2 = h * symbol of the fourth-order five-point
+    # stiffness, (1-c)(7-c)/(3h) after mass pairing: D^T D is that stencil
     alpha = math.sqrt((7.0 + math.sqrt(48.0)) / 2.0)
     beta = 1.0 / (2.0 * alpha)
     scale = 1.0 / math.sqrt(6.0 * h)
@@ -123,14 +125,7 @@ def build_circle(n: int) -> SourceMesh:
         (np.ones(n), ((idx + 1) % n, idx)), shape=(n, n)
     )
 
-    return SourceMesh(
-        points=theta[:, None],
-        area=area,
-        stiffness=K,
-        diff=D,
-        diff_scatter=scatter,
-        spec={"kind": "circle", "n": n},
-    )
+    return _source_mesh(theta[:, None], area, D, scatter, {"kind": "circle", "n": n})
 
 
 FLAT_TORUS_SIDE = 2.0 * math.pi  # default side length of the flat torus
@@ -140,8 +135,8 @@ def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = 
     """Uniform nu x nv grid on a flat rectangular torus of side lengths lu, lv."""
     if nu < 8 or nv < 8:
         raise InvalidSpec("flat torus needs at least an 8 x 8 grid")
-    if not (lu > 0 and lv > 0):
-        raise InvalidSpec("flat torus needs positive side lengths")
+    if not (0 < lu < math.inf and 0 < lv < math.inf):
+        raise InvalidSpec("flat torus needs finite positive side lengths")
     nu, nv = int(nu), int(nv)
     hu, hv = lu / nu, lv / nv
     V = nu * nv
@@ -164,40 +159,10 @@ def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = 
     ej = np.concatenate(edges_j)
     ew = np.concatenate(edges_w)
 
-    K = _graph_stiffness(ei, ej, ew, V)
     D, scatter = _edge_diff(ei, ej, ew, V)
+    spec = {"kind": "flat_torus", "nu": nu, "nv": nv, "lu": lu, "lv": lv}
+    return _source_mesh(points, area, D, scatter, spec)
 
-    return SourceMesh(
-        points=points,
-        area=area,
-        stiffness=K,
-        diff=D,
-        diff_scatter=scatter,
-        spec={"kind": "flat_torus", "nu": nu, "nv": nv, "lu": lu, "lv": lv},
-    )
-
-
-def _graph_stiffness(ei, ej, ew, V) -> sp.csr_matrix:
-    """Symmetric graph Laplacian with row sums forced to exact zero."""
-    rows = np.concatenate([ei, ej])
-    cols = np.concatenate([ej, ei])
-    vals = np.concatenate([-ew, -ew])
-    off = sp.csr_matrix((vals, (rows, cols)), shape=(V, V))
-    off.sum_duplicates()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    K = (off + sp.diags(diag)).tocsr()
-    return _zero_row_sums(K)
-
-
-def _zero_row_sums(K: sp.csr_matrix, sweeps: int = 3) -> sp.csr_matrix:
-    """Fold any matvec-order rounding defect of K @ 1 back into the diagonal."""
-    ones = np.ones(K.shape[0])
-    for _ in range(sweeps):
-        defect = K @ ones
-        if not np.any(defect):
-            break
-        K = K - sp.diags(defect)
-    return K.tocsr()
 
 def _edge_diff(ei, ej, ew, V):
     """Per-edge rows sqrt(w) (f_j - f_i); density split half to each endpoint."""
@@ -271,23 +236,13 @@ def build_icosphere(level: int) -> SourceMesh:
     double_area = np.linalg.norm(normal, axis=1)
     face_area = 0.5 * double_area
 
-    # cotangent edge weights: cot(angle at corner k) pairs with the opposite edge
-    cot = np.empty((F, 3))
-    for k, (u, v) in enumerate([(-e1, e2), (-e2, e0), (-e0, e1)]):
-        cosv = np.sum(u * v, axis=1)
-        sinv = np.linalg.norm(np.cross(u, v), axis=1)
-        cot[:, k] = cosv / sinv
-    ei = np.concatenate([faces[:, 1], faces[:, 2], faces[:, 0]])
-    ej = np.concatenate([faces[:, 2], faces[:, 0], faces[:, 1]])
-    ew = 0.5 * np.concatenate([cot[:, 0], cot[:, 1], cot[:, 2]])
-    K = _graph_stiffness(ei, ej, ew, V)
-
     area = np.zeros(V)
     np.add.at(area, faces[:, 0], face_area / 3.0)
     np.add.at(area, faces[:, 1], face_area / 3.0)
     np.add.at(area, faces[:, 2], face_area / 3.0)
 
-    # per-face affine gradient rows, scaled by sqrt(A) so D^T D = K.  The
+    # per-face affine gradient rows, scaled by sqrt(A): D^T D is the cotangent
+    # Laplacian (Pinkall and Polthier, Experiment. Math. 2, 1993).  The
     # gradient lies in the face plane, so its components in the orthonormal
     # face frame t1 = e0/|e0|, t2 = nhat x t1 carry all of |grad f|^2: two rows
     # per face, not three Cartesian ones.  Along t1 it is the edge difference
@@ -308,14 +263,7 @@ def build_icosphere(level: int) -> SourceMesh:
         shape=(V, 2 * F),
     )
 
-    return SourceMesh(
-        points=verts,
-        area=area,
-        stiffness=K,
-        diff=D,
-        diff_scatter=scatter,
-        spec={"kind": "icosphere", "level": level},
-    )
+    return _source_mesh(verts, area, D, scatter, {"kind": "icosphere", "level": level})
 
 
 class MeshKind(NamedTuple):

@@ -163,11 +163,14 @@ class EmbeddedTarget:
         return self._project(x)
 
     def _require_off_medial(self, margin: np.ndarray) -> None:
-        """Raise unless every distance-like margin to the medial set exceeds 1e-12."""
-        if not (margin > 1e-12).all():  # NaN fails too
+        """Raise unless every distance-like margin to the medial set is finite
+        and exceeds 1e-12: a margin that overflowed to inf would divide x to 0."""
+        if not ((margin > 1e-12) & (margin < np.inf)).all():  # NaN fails too
             raise OutsideTubularNeighborhood(
-                f"point within {float(np.min(margin)):.3e} of the projection's "
-                f"degenerate set (tube radius {self.tubular_radius():.3e})"
+                f"point's distance from the projection's degenerate set (min "
+                f"{float(np.min(margin)):.3e}, max {float(np.max(margin)):.3e}) is not in "
+                f"(1e-12, inf): too close, or |x|^2 overflowed "
+                f"(tube radius {self.tubular_radius():.3e})"
             )
 
     def require_on_target(self, y: np.ndarray) -> None:
@@ -319,8 +322,8 @@ class TorusOfRevolution(EmbeddedTarget):
     minor_radius: float
 
     def __post_init__(self):
-        if not (self.major_radius > self.minor_radius > 0.0):
-            raise InvalidSpec("torus of revolution needs R > r > 0")
+        if not (np.inf > self.major_radius > self.minor_radius > 0.0):
+            raise InvalidSpec("torus of revolution needs finite R > r > 0")
 
     kind = "torus_rev"
     ambient_dim = 3

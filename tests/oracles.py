@@ -130,11 +130,7 @@ def cartesian_icosphere_stencil(mesh):
     grad phi_k = (nhat x e_k) / (2 A); its density goes 1/3 to each corner.
     Returns (D, scatter) of shapes (3F, V) and (V, 3F).
     """
-    verts = mesh.points
-    # the faces: the corner triples the mesh scatters each of its D rows to,
-    # two rows per face; corner order does not matter, as the normal and the
-    # edges flip together under an odd permutation
-    faces = mesh.diff_scatter.tocsc().indices.reshape(-1, 3)[::2]
+    verts, faces = mesh.points, icosphere_faces(mesh)
     p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     edges = [p2 - p1, p0 - p2, p1 - p0]  # opposite each corner
     normal = np.cross(edges[1], edges[2])
@@ -152,3 +148,59 @@ def cartesian_icosphere_stencil(mesh):
     D = sp.csr_matrix((np.concatenate(vals), (rows, cols)), shape=(3 * F, V))
     scatter = sp.csr_matrix((np.full(rows.size, 1.0 / 3.0), (cols, rows)), shape=(V, 3 * F))
     return D, scatter
+
+
+def icosphere_faces(mesh) -> np.ndarray:
+    """The faces of an icosphere: the corner triples the mesh scatters each of
+    its D rows to, two rows per face.  Corner order does not matter, as the
+    normal and the edges flip together under an odd permutation."""
+    return mesh.diff_scatter.tocsc().indices.reshape(-1, 3)[::2]
+
+
+def graph_laplacian(ei, ej, ew, V: int) -> sp.csr_matrix:
+    """Symmetric graph Laplacian of the weighted edges (ei, ej, ew): -w_ij off
+    the diagonal, the negated off-diagonal row sum on it."""
+    rows, cols = np.concatenate([ei, ej]), np.concatenate([ej, ei])
+    off = sp.csr_matrix((-np.concatenate([ew, ew]), (rows, cols)), shape=(V, V))
+    off.sum_duplicates()
+    return (off + sp.diags(-np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def _periodic_second_difference(n: int, stride: int = 1) -> sp.csr_matrix:
+    """2 f_i - f_{i+stride} - f_{i-stride} on n points around a ring."""
+    shift = sp.csr_matrix(np.roll(np.eye(n), stride, axis=1))
+    return (2.0 * sp.identity(n) - shift - shift.T).tocsr()
+
+
+def reference_stiffness(mesh) -> sp.csr_matrix:
+    """The mesh's stiffness matrix, assembled from its stencil weights.
+
+    * circle: the fourth-order five-point stencil, symbol (1-c)(7-c)/(3h),
+      (4/3 L_1 - 1/12 L_2) / h with L_s the second difference at stride s;
+    * flat torus: the five-point graph Laplacian, the Kronecker sum of the
+      ring second differences weighted hv/hu along u and hu/hv along v;
+    * icosphere: the cotangent Laplacian, w_ij = (cot a + cot b) / 2 over the
+      two angles opposite edge ij.
+    """
+    spec = mesh.spec
+    if mesh.kind == "circle":
+        n = spec["n"]
+        h = 2.0 * np.pi / n
+        return ((4.0 / 3.0) * _periodic_second_difference(n)
+                - (1.0 / 12.0) * _periodic_second_difference(n, 2)) / h
+    if mesh.kind == "flat_torus":
+        nu, nv = spec["nu"], spec["nv"]
+        hu, hv = spec["lu"] / nu, spec["lv"] / nv
+        return ((hv / hu) * sp.kron(_periodic_second_difference(nu), sp.identity(nv))
+                + (hu / hv) * sp.kron(sp.identity(nu), _periodic_second_difference(nv))).tocsr()
+    faces, verts = icosphere_faces(mesh), mesh.points
+    ei, ej, ew = [], [], []
+    for k in range(3):  # the angle at corner k faces the edge (i, j)
+        c, i, j = faces[:, k], faces[:, (k + 1) % 3], faces[:, (k + 2) % 3]
+        u, v = verts[i] - verts[c], verts[j] - verts[c]
+        cot = np.sum(u * v, axis=1) / np.linalg.norm(np.cross(u, v), axis=1)
+        ei.append(i)
+        ej.append(j)
+        ew.append(0.5 * cot)
+    return graph_laplacian(np.concatenate(ei), np.concatenate(ej), np.concatenate(ew),
+                           mesh.vertex_count)

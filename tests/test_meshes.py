@@ -23,7 +23,7 @@ from harmonicflow.errors import (
 from harmonicflow.meshes import l2_norm, mode_basis, random_scalar_field, row_dots
 from harmonicflow.rng import stream
 
-from oracles import cartesian_icosphere_stencil
+from oracles import cartesian_icosphere_stencil, reference_stiffness
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +61,8 @@ def test_invalid_mesh_specs():
     with pytest.raises(InvalidSpec):
         build_flat_torus(4, 16)
     with pytest.raises(InvalidSpec):
+        build_flat_torus(16, 16, math.inf, 1.0)
+    with pytest.raises(InvalidSpec):
         build_icosphere(9)
 
 
@@ -92,6 +94,21 @@ def test_diff_factoring_matches_stiffness(circle256, torus16, ico3):
         DtD = (mesh.diff.T @ mesh.diff).tocsr()
         denom = abs(mesh.stiffness).max()
         assert abs(DtD - mesh.stiffness).max() <= 1e-12 * denom
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param({"kind": "circle", "n": 8}, id="circle8"),
+    pytest.param({"kind": "circle", "n": 256}, id="circle256"),
+    pytest.param({"kind": "flat_torus", "nu": 16, "nv": 16}, id="torus16"),
+    pytest.param({"kind": "flat_torus", "nu": 8, "nv": 12, "lu": 1.0, "lv": 3.0}, id="torus8x12"),
+    *(pytest.param({"kind": "icosphere", "level": L}, id=f"ico{L}") for L in range(5)),
+])
+def test_stiffness_matches_reference_stencil(spec):
+    # K = D^T D is the circle's fourth-order five-point stencil, the flat
+    # torus's five-point graph Laplacian and the icosphere's cotangent Laplacian
+    mesh = build_source(spec)
+    reference = reference_stiffness(mesh)
+    assert abs(mesh.stiffness - reference).max() <= 1e-14 * abs(mesh.stiffness).max()
 
 
 def test_scatter_rows_partition_unity(circle256, torus16, ico3):

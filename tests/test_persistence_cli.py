@@ -427,6 +427,14 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     pytest.param("verify", "verify", {"theta": "2"}, id="theta-2"),
     pytest.param("verify", "verify", {"theta": "0.4"}, id="theta-0.4"),
     pytest.param("verify", "verify", {"z": "0"}, id="z-0"),
+    # 0 switches checkpoints off; a negative cadence wrote none and hid it
+    pytest.param("flow", "flow", {"checkpoint_every": "-5"}, id="checkpoint_every--5"),
+    pytest.param("hessian-spec", "hessian", {"expected_critical_dim": "-3"},
+                 id="expected_critical_dim--3"),
+    # sizes: inf reached the initial map as a non-finite point
+    pytest.param("flow", "mesh", {"lu": "inf", "kind": "flat_torus", "nu": 8, "nv": 8},
+                 id="lu-inf"),
+    pytest.param("flow", "target", {"R": "inf", "kind": "torus_rev", "r": 0.5}, id="R-inf"),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, analysis, section, keys):
     path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": analysis}, **{section: keys})
@@ -588,6 +596,24 @@ def test_cli_bad_initial_map_exit_2(tmp_path, capsys, initial_map, mesh):
         cfg = cfg.replace("kind = icosphere\nlevel = 2", mesh)
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert "rejected" in capsys.readouterr().err
+
+
+def test_cli_overflowing_point_exit_2(tmp_path, capsys):
+    cfg = BASE_CFG.format(analyses="").replace(
+        "kind = perturbed_constant\namplitude = 0.1", "kind = constant\npoint = 1e200, 0, 0"
+    )
+    with np.errstate(over="ignore"):  # |point|^2 overflows before the rejection
+        assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "rejected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["2", "0"])
+def test_cli_threads_other_than_one_exit_2(tmp_path, threads):
+    path = write_cfg(tmp_path, BASE_CFG.format(analyses=""))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--threads", threads, "run", path, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validate_exponents_subcommand(capsys):

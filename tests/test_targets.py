@@ -54,6 +54,17 @@ def test_projection_rejects_non_finite(target, bad, coord):
         target.project_to_target(x)
 
 
+# finite, but |x|^2 overflows: a radius of inf would pass 1e-12 and divide x to 0
+@pytest.mark.parametrize("target,x", [
+    pytest.param(UnitSphere(3), [1e200, 0, 0], id="sphere"),
+    pytest.param(TorusOfRevolution(2.0, 0.5), [1e200, 0, 0], id="torus_rev"),
+    pytest.param(CliffordTorus(2), [1e200, 0, 1, 0], id="clifford"),
+])
+def test_projection_rejects_overflowing_point(target, x):
+    with np.errstate(over="ignore"), pytest.raises(OutsideTubularNeighborhood):
+        target.project_to_target(np.array(x))
+
+
 @pytest.mark.parametrize("target", ALL_TARGETS, ids=lambda t: t.kind + str(t.ambient_dim))
 def test_projection_constructors_equal_checked_path(ico2, target):
     rng = np.random.default_rng(1)
@@ -349,6 +360,8 @@ def test_sff_rejects_non_tangent_input():
 def test_invalid_target_parameters():
     with pytest.raises(InvalidSpec):
         TorusOfRevolution(0.5, 0.5)
+    with pytest.raises(InvalidSpec):
+        TorusOfRevolution(np.inf, 0.5)
     with pytest.raises(InvalidSpec):
         UnitSphere(1)
 
