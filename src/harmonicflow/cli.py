@@ -75,7 +75,8 @@ def _build_initial_map(scn: Scenario, mesh, target) -> MapField:
     input error (ConfigError), not a numerical failure."""
     kind = scn.initial_map["kind"]
     try:
-        return INITIAL_MAP_KINDS[kind](mesh, target, scn.initial_map, scn.seed)
+        with np.errstate(over="ignore"):  # an |x|^2 of inf fails the projection's margins
+            return INITIAL_MAP_KINDS[kind](mesh, target, scn.initial_map, scn.seed)
     except (OutsideTubularNeighborhood, ShapeMismatch, NotOnTarget, OSError) as exc:
         raise ConfigError(f"[initial_map] kind = {kind}: {exc}") from exc
 
@@ -140,6 +141,9 @@ class _Run:
                 "accepted_steps": len(self.trace.samples) - 1,
                 "final_energy": float(self.trace.energies()[-1]),
                 "final_grad_norm": float(self.trace.grad_norms()[-1]),
+                "candidates": self.trace.candidates,
+                "energy_rejections": self.trace.energy_rejections,
+                "radius_halvings": self.trace.radius_halvings,
             },
             self.record("flow_summary.json"),
         )

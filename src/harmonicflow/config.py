@@ -138,7 +138,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "kind": (_one_of(INITIAL_MAP_KINDS), REQUIRED),
         "point": (_floats_list, None),
         "k": (int, 1),
-        "amplitude": (float, 0.1),
+        "amplitude": (_number(float, lambda v: 0 <= v < math.inf, "finite and >= 0"), 0.1),
         "path": (str, None),
     },
     "flow": {

@@ -50,6 +50,8 @@ def energy(f: MapField) -> float:
     # Squared stencil differences, not 1/2 sum f.Kf: that form cancels O(1)
     # terms and resolves E only to ~1e-15, which swamps the gaps the
     # exponent fit reads (relative error 1e-2 at E ~ 3e-13 on the ico3 basin).
+    # run_flow tests candidates by increments 1/2 (c - f).(Kf + Kc) and
+    # anchors its trace to this sum at the final map.
     df = f.mesh.diff @ f.values
     return 0.5 * float(np.vdot(df, df))  # the same sum of squares, without a temporary
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,15 +12,22 @@ from harmonicflow import (
     degree_circle_map,
     dissipation_check,
     energy,
+    identity_sphere_map,
     perturbed_constant_map,
+    random_tangent_field,
     run_flow,
     tension,
 )
 from harmonicflow.errors import ChartRadiusExceeded, InsufficientSamples
-from harmonicflow.flow import FlowSample, FlowTrace, _step_with
-from harmonicflow.targets import EmbeddedTarget
+from harmonicflow.flow import FlowSample, FlowTrace
+from harmonicflow.targets import EmbeddedTarget, TorusOfRevolution
 from harmonicflow.meshes import l2_norm
 from harmonicflow.rng import stream
+
+
+def _step_with(f, m, dt):
+    """pi(f - dt M), run_flow's projected Euler step."""
+    return MapField.project(f.values - dt * m.values, f.target, f.mesh)
 
 
 def test_step_leaves_constant_map_fixed(ico2, s2):
@@ -39,12 +47,20 @@ def test_step_decreases_energy_near_constant(ico2, s2):
     assert energy(_step_with(f, tension(f), 0.01)) < energy(f)
 
 
+def rough_map(mesh, target, seed):
+    """pi of a Gaussian per vertex: |M|_inf of about 40 on ico2, where the
+    stability clamp keeps dt below 0.016."""
+    x = stream(seed, "flow").standard_normal((mesh.vertex_count, target.ambient_dim))
+    return MapField.project(x, target, mesh)
+
+
 def test_step_radius_guard(ico2, s2):
-    f = perturbed_constant_map(ico2, s2, 0.1, stream(2, "flow"))
+    f = rough_map(ico2, s2, 16)
     sup = tension(f).linf()
-    assert 1.0 >= s2.chart_radius()  # dt0 = 1 / sup starts outside the radius
-    tr = run_flow(f, FlowControl(dt0=1.0 / sup, max_steps=1))
+    assert 0.015 * sup >= s2.chart_radius()  # dt0 starts outside the radius
+    tr = run_flow(f, FlowControl(dt0=0.015, max_steps=1))
     assert len(tr.samples) == 2
+    assert tr.radius_halvings == 1
     assert tr.samples[1].dt * sup < s2.chart_radius()
 
 
@@ -103,12 +119,13 @@ def test_step_collapse_termination(ico2, s2):
 
 
 def test_radius_guard_at_dt_min_is_step_collapse(ico2, s2):
-    f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
-    # halving 4 -> 2 drops below dt_min while 2 |M|_inf is still outside the radius
-    assert 2.0 * tension(f0).linf() >= s2.chart_radius()
-    tr = run_flow(f0, FlowControl(dt0=4.0, dt_min=3.0))
+    f0 = rough_map(ico2, s2, 16)
+    # the guard halves 0.015 below dt_min before any candidate is tried
+    assert 0.015 * tension(f0).linf() >= s2.chart_radius()
+    tr = run_flow(f0, FlowControl(dt0=0.015, dt_min=0.01))
     assert tr.terminated_by == "step_collapse"
     assert len(tr.samples) == 1
+    assert (tr.radius_halvings, tr.candidates) == (1, 0)
 
 
 @pytest.mark.parametrize("dt0", [0.0, -1e-3, math.nan])
@@ -156,6 +173,74 @@ def test_dist_to_limit_filled_at_checkpoints(ico2, s2):
     # distance to the limit shrinks along the flow
     vals = dists[filled]
     assert vals[-1] <= vals[0]
+
+
+def test_dt_stays_below_stability_limit_at_rounding_floor():
+    # circle64 into the torus of revolution, from the parallel at tube angle 2.8:
+    # once E - E_inf is below the energy slack only dt < 2/lambda_max keeps
+    # |M| from climbing back up (to 5.6e-5 with dt grown to 1e-2)
+    mesh, tgt = build_circle(64), TorusOfRevolution(2.0, 0.5)
+    theta, a = mesh.points[:, 0], 2.8
+    rho = tgt.major_radius + tgt.minor_radius * math.cos(a)
+    z = np.full_like(theta, tgt.minor_radius * math.sin(a))
+    f0 = MapField(np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1), tgt, mesh)
+    tr = run_flow(f0, FlowControl(dt0=1e-4, grad_tol=1e-14, max_time=40,
+                                  checkpoint_every=0))
+    g = tr.grad_norms()
+    assert np.max(g / np.minimum.accumulate(g)) <= 10.0
+
+
+# ---------------------------------------------------------------------------
+# energy by increments
+
+@pytest.mark.parametrize("h", [1e-6, 1e-4, 1e-2, 1e-1])
+@pytest.mark.parametrize("start", ["perturbed_constant", "identity"])
+def test_energy_increment_is_exact(ico2, s2, start, h):
+    # dE = 1/2 (c - f).(K f + K c), the flow's acceptance test, against two D-sums
+    f = (perturbed_constant_map(ico2, s2, 0.1, stream(13, "flow"))
+         if start == "perturbed_constant" else identity_sphere_map(ico2, s2))
+    kf = ico2.stiffness @ f.values
+    for seed in range(15):
+        u = random_tangent_field(f, stream(seed, "increment")).values
+        c = MapField.project(f.values + h * u / np.max(np.linalg.norm(u, axis=1)), s2, ico2)
+        d_e = 0.5 * np.vdot(c.values - f.values, kf + ico2.stiffness @ c.values)
+        assert abs(d_e - (energy(c) - energy(f))) <= 1e-14 * energy(f)
+
+
+def test_trace_energies_match_checkpoint_d_sums(ico3, s2):
+    # back-filled from one D-sum at the final map, E_n = E_{n+1} - dE_n
+    f0 = perturbed_constant_map(ico3, s2, 0.1, stream(1, "initial-map"))
+    tr = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
+    e0 = energy(f0)
+    assert len(tr.checkpoints) > 90
+    for step, values in tr.checkpoints:
+        e = energy(MapField(values, s2, ico3))
+        err = abs(tr.samples[step].energy - e)
+        assert err <= 1e-15 * e0 and err <= 1e-7 * e
+
+
+class CountingProducts:
+    """A sparse matrix that counts its products ``A @ x``."""
+
+    def __init__(self, matrix):
+        self.matrix, self.products = matrix, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.matrix @ x
+
+    def __getattr__(self, name):
+        return getattr(self.matrix, name)
+
+
+def test_run_flow_makes_one_stiffness_product_per_candidate(ico2, s2):
+    K, D = CountingProducts(ico2.stiffness), CountingProducts(ico2.diff)
+    mesh = dataclasses.replace(ico2, stiffness=K, diff=D)
+    f0 = rough_map(mesh, s2, 16)
+    tr = run_flow(f0, FlowControl(dt0=0.015, max_steps=300, checkpoint_every=0))
+    assert tr.candidates >= len(tr.samples) - 1 == 300
+    assert tr.radius_halvings > 0
+    assert (K.products, D.products) == (tr.candidates + 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,9 @@ def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
     pytest.param("flow", "mesh", {"lu": "inf", "kind": "flat_torus", "nu": 8, "nv": 8},
                  id="lu-inf"),
     pytest.param("flow", "target", {"R": "inf", "kind": "torus_rev", "r": 0.5}, id="R-inf"),
+    # inf times a zero component of the perturbation is NaN
+    *(pytest.param("flow", "initial_map", {"amplitude": bad, "kind": "perturbed_constant"},
+                   id=f"amplitude-{bad}") for bad in ("nan", "inf", "-0.1")),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, analysis, section, keys):
     path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": analysis}, **{section: keys})
@@ -598,13 +601,22 @@ def test_cli_bad_initial_map_exit_2(tmp_path, capsys, initial_map, mesh):
     assert "rejected" in capsys.readouterr().err
 
 
+# |x|^2 overflows before the projection rejects the point; the suite turns
+# a RuntimeWarning into an error, so passing also means none was printed
 def test_cli_overflowing_point_exit_2(tmp_path, capsys):
     cfg = BASE_CFG.format(analyses="").replace(
         "kind = perturbed_constant\namplitude = 0.1", "kind = constant\npoint = 1e200, 0, 0"
     )
-    with np.errstate(over="ignore"):  # |point|^2 overflows before the rejection
-        assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "rejected" in capsys.readouterr().err
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "rejected" in err and "Warning" not in err
+
+
+def test_cli_overflowing_amplitude_exit_2(tmp_path, capsys):
+    cfg = BASE_CFG.format(analyses="flow").replace("amplitude = 0.1", "amplitude = 1e300")
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "rejected" in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("threads", ["2", "0"])
