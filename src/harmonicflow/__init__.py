@@ -36,14 +36,11 @@ from .energy import (  # noqa: F401
     HessianOperator,
     HessianSpectrum,
     energy,
-    gradient_pairing_check,
     grad_l2_norm,
     hessian_apply,
     hessian_matrix,
     hessian_spectrum,
     tension,
-    tension_fixed_chart,
-    tension_via_sff,
 )
 from .charts import ChartReport, bilipschitz_estimate, chart_pull, chart_push  # noqa: F401
 from .flow import FlowControl, FlowTrace, dissipation_check, run_flow  # noqa: F401

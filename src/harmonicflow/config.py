@@ -164,7 +164,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "variant": (_one_of(VARIANTS), "l2"),
         "theta": (_number(float, lambda v: 0.5 <= v < 1, "in the paper's [1/2, 1)"), 0.5),
         "z": (_positive(float), 0.9),
-        "norm": (_one_of(("l2", "wk")), "l2"),
+        "norm": (_one_of(VARIANTS), "l2"),
     },
     "hessian": {
         "kernel_tol": (_opt_float, None),
@@ -249,6 +249,9 @@ def parse_config(path: str) -> Scenario:
         raise ConfigError("[loja_fit] window_lo and window_hi must be set together")
     if lo is not None and not lo < hi:
         raise ConfigError(f"[loja_fit] window_lo = {lo} must be below window_hi = {hi}")
+    vf = out["verify"]  # one decision: variant picks the hypothesis table, norm what is measured
+    if vf["variant"] != vf["norm"]:
+        raise ConfigError(f"[verify] variant = {vf['variant']} and norm = {vf['norm']} must agree")
     mp = out["mult_probe"]  # the probe's W^{k,p} x L2 -> L2 runs on the flat torus
     verdict = validate_exponents(MESH_KINDS["flat_torus"].dimension, mp["k"], mp["p"], "l2")
     if not verdict.admissible:

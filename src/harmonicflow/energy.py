@@ -9,11 +9,13 @@ component).  With lumped mass the chain
 holds to rounding error rather than to discretization error: the
 finite-difference checks in the test suite bottom out near machine precision.
 
-The Hessian operator is
+The Hessian is assembled once, by ``hessian_matrix``, as the mass-weighted
+bilinear form in per-vertex orthonormal tangent frames B (V blocks n x dN):
 
-    H(f) v = P(f) Delta v + P(f) g,   g_c = < d2pi(f)(v, e_c), Delta f >,
+    F = B^T K B + diag_x( a_x < d2pi(f)(e_i, e_j), Delta f > ),
 
-whose mass-weighted bilinear form is symmetric by the symmetry of d2pi.
+symmetric by the symmetry of d2pi.  ``hessian_apply`` is its lift to ambient
+tangent fields, H(f) v = B (F (B^T v)) / mass.
 """
 
 from __future__ import annotations
@@ -24,20 +26,17 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ChartRadiusExceeded, EigensolveFailure
-from .fields import MapField, TangentField, map_sup_distance
-from .meshes import l2_inner, l2_norm, laplace_beltrami_apply
+from .errors import EigensolveFailure
+from .fields import MapField, TangentField
+from .meshes import l2_norm, laplace_beltrami_apply
 from .targets import EmbeddedTarget
 
 __all__ = [
     "energy",
     "tension",
-    "tension_via_sff",
-    "gradient_pairing_check",
     "hessian_apply",
     "hessian_matrix",
     "hessian_spectrum",
-    "tension_fixed_chart",
     "tangent_frames",
     "grad_l2_norm",
     "HessianOperator",
@@ -63,53 +62,6 @@ def tension(f: MapField) -> TangentField:
 
 def grad_l2_norm(f: MapField) -> float:
     return l2_norm(f.mesh, tension(f).values)
-
-
-def _sff_contraction(f: MapField) -> np.ndarray:
-    """A(f)(df, df) contracted over the discrete metric.
-
-    Quadrature runs over the stiffness-graph edges with the same weights the
-    Laplacian uses, A_c(x) = 1/(2 a_x) sum_y w_xy A(f_x)(P d_xy, P d_xy) with
-    d_xy = f_y - f_x, so the normal defects of the vertex stencil cancel in
-    the difference against dpi(f)^perp Delta f.
-    """
-    K = f.mesh.stiffness.tocoo()
-    off = K.row != K.col
-    rows, cols, w = K.row[off], K.col[off], -K.data[off]
-    d = f.values[cols] - f.values[rows]
-    base = f.values[rows]
-    td = f.target.tangent_project(base, d)
-    a_vals = f.target.second_fundamental_form(base, td, td)
-    out = np.zeros_like(f.values)
-    np.add.at(out, rows, 0.5 * w[:, None] * a_vals)
-    return out / f.mesh.area[:, None]
-
-
-def tension_via_sff(f: MapField) -> np.ndarray:
-    """M(f) = Delta f - A(f)(df, df); agrees with tension(f) as the mesh refines.
-
-    Returned as the raw ambient array: the difference carries the O(h^2)
-    normal defect of the discrete Laplacian, so it is not a tangent field.
-    """
-    lap = laplace_beltrami_apply(f.mesh, f.values)
-    return lap - _sff_contraction(f)
-
-
-def gradient_pairing_check(f: MapField, u: TangentField, h_step: float) -> float:
-    """|centered FD of t -> E(pi(f + t u)) at 0  -  (u, M(f))_L2|."""
-    sup = u.linf()
-    delta = f.target.chart_radius()
-    if h_step * sup >= delta:
-        raise ChartRadiusExceeded(
-            f"h_step * |u|_inf = {h_step * sup:.3e} >= {delta:.3e}"
-        )
-    tgt, mesh = f.target, f.mesh
-
-    def e_at(t: float) -> float:
-        return energy(MapField.project(f.values + t * u.values, tgt, mesh))
-
-    fd = (e_at(h_step) - e_at(-h_step)) / (2.0 * h_step)
-    return abs(fd - l2_inner(mesh, u.values, tension(f).values))
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +217,8 @@ def hessian_spectrum(
 
 
 def hessian_apply(f: MapField, v: TangentField) -> TangentField:
-    """H(f) v = dpi(f) Delta v + tangent representative of <d2pi(f)(v, .), Delta f>."""
-    lap_v = laplace_beltrami_apply(f.mesh, v.values)
-    lap_f = laplace_beltrami_apply(f.mesh, f.values)
-    n = f.target.ambient_dim
-    g = np.empty_like(f.values)
-    eye = np.eye(n)
-    for c in range(n):
-        d2 = f.target.ambient_hessian_of_projection(
-            f.values, v.values, np.broadcast_to(eye[c], f.values.shape)
-        )
-        g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
-    return TangentField.project(lap_v + g, f)
-
-
-def tension_fixed_chart(f_inf: MapField, f: MapField) -> TangentField:
-    """dpi(f_inf) M(f): the gradient read in the fixed chart at f_inf."""
-    delta = f.target.chart_radius()
-    if map_sup_distance(f, f_inf) >= delta:
-        raise ChartRadiusExceeded("maps too far apart for a common chart")
-    return TangentField.project(tension(f).values, f_inf)
+    """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
+    B = _block_diagonal(tangent_frames(f.target, f.values))
+    op = hessian_matrix(f)
+    hv = B @ ((op.form @ (B.T @ v.values.ravel())) / op.mass)
+    return TangentField(hv.reshape(v.values.shape), f)

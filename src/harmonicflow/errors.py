@@ -39,10 +39,6 @@ class InvalidExponents(HarmonicFlowError):
 
 # -- fields and energy -----------------------------------------------------
 
-# maps and points go through the same on-target check
-OffTarget = NotOnTarget
-
-
 class EigensolveFailure(HarmonicFlowError):
     """Eigenvalue iteration failed to converge."""
 

@@ -110,14 +110,9 @@ def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable[[np.ndarray
     return dual_norm
 
 
-def gradient_family_norm(f: MapField, k: int, p: float) -> float:
-    """|M(f)| in the discrete W^{k-2,p} family (see _wk_norm)."""
-    return _wk_norm(f.mesh, f.target.ambient_dim, k, p)(tension(f).values)
-
-
 def gradient_dual_norm(f: MapField, p: float) -> float:
-    """Discrete stand-in for |M(f)| in W^{-1,p'}."""
-    return gradient_family_norm(f, 1, p)
+    """Discrete stand-in for |M(f)| in W^{-1,p'} (see _wk_norm)."""
+    return _wk_norm(f.mesh, f.target.ambient_dim, 1, p)(tension(f).values)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 These deliberately avoid the closed forms under test: projections are checked
 against brute-force minimization, derivatives against central finite
-differences, and energies against analytic integrals.
+differences, and energies against analytic integrals.  The file also holds
+reference derivations the package defines only once: the tension through the
+second fundamental form, the Hessian action contracted from d2pi directly,
+and the stiffness matrices from their stencil weights.
 """
 
 from __future__ import annotations
@@ -11,6 +14,10 @@ import json
 
 import numpy as np
 import scipy.sparse as sp
+
+from harmonicflow import MapField, TangentField, energy, tension
+from harmonicflow.errors import ChartRadiusExceeded
+from harmonicflow.meshes import l2_inner, laplace_beltrami_apply
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -204,3 +211,66 @@ def reference_stiffness(mesh) -> sp.csr_matrix:
         ew.append(0.5 * cot)
     return graph_laplacian(np.concatenate(ei), np.concatenate(ej), np.concatenate(ew),
                            mesh.vertex_count)
+
+
+def _sff_contraction(f) -> np.ndarray:
+    """A(f)(df, df) contracted over the discrete metric.
+
+    Quadrature runs over the stiffness-graph edges with the same weights the
+    Laplacian uses, A_c(x) = 1/(2 a_x) sum_y w_xy A(f_x)(P d_xy, P d_xy) with
+    d_xy = f_y - f_x, so the normal defects of the vertex stencil cancel in
+    the difference against dpi(f)^perp Delta f.
+    """
+    K = f.mesh.stiffness.tocoo()
+    off = K.row != K.col
+    rows, cols, w = K.row[off], K.col[off], -K.data[off]
+    d = f.values[cols] - f.values[rows]
+    base = f.values[rows]
+    td = f.target.tangent_project(base, d)
+    a_vals = f.target.second_fundamental_form(base, td, td)
+    out = np.zeros_like(f.values)
+    np.add.at(out, rows, 0.5 * w[:, None] * a_vals)
+    return out / f.mesh.area[:, None]
+
+
+def tension_via_sff(f) -> np.ndarray:
+    """M(f) = Delta f - A(f)(df, df); agrees with tension(f) as the mesh refines.
+
+    Returned as the raw ambient array: the difference carries the O(h^2)
+    normal defect of the discrete Laplacian, so it is not a tangent field.
+    """
+    lap = laplace_beltrami_apply(f.mesh, f.values)
+    return lap - _sff_contraction(f)
+
+
+def gradient_pairing_check(f, u, h_step: float) -> float:
+    """|centered FD of t -> E(pi(f + t u)) at 0  -  (u, M(f))_L2|."""
+    sup = u.linf()
+    delta = f.target.chart_radius()
+    if h_step * sup >= delta:
+        raise ChartRadiusExceeded(
+            f"h_step * |u|_inf = {h_step * sup:.3e} >= {delta:.3e}"
+        )
+    tgt, mesh = f.target, f.mesh
+
+    def e_at(t: float) -> float:
+        return energy(MapField.project(f.values + t * u.values, tgt, mesh))
+
+    fd = (e_at(h_step) - e_at(-h_step)) / (2.0 * h_step)
+    return abs(fd - l2_inner(mesh, u.values, tension(f).values))
+
+
+def reference_hessian_apply(f, v):
+    """H(f) v = dpi(f) Delta v + tangent representative of <d2pi(f)(v, .), Delta f>,
+    contracted per ambient direction, without tangent frames or the assembled form."""
+    lap_v = laplace_beltrami_apply(f.mesh, v.values)
+    lap_f = laplace_beltrami_apply(f.mesh, f.values)
+    n = f.target.ambient_dim
+    g = np.empty_like(f.values)
+    eye = np.eye(n)
+    for c in range(n):
+        d2 = f.target.ambient_hessian_of_projection(
+            f.values, v.values, np.broadcast_to(eye[c], f.values.shape)
+        )
+        g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
+    return TangentField.project(lap_v + g, f)

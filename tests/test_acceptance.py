@@ -23,7 +23,6 @@ from harmonicflow import (
     energy,
     fit_exponent,
     grad_l2_norm,
-    gradient_pairing_check,
     hessian_apply,
     hessian_matrix,
     hessian_spectrum,
@@ -34,7 +33,6 @@ from harmonicflow import (
     sample_neighborhood,
     sobolev_multiplication_probe,
     tension,
-    tension_via_sff,
     validate_exponents,
     verify_inequality,
 )
@@ -42,6 +40,7 @@ from harmonicflow.cli import main as cli_main
 from harmonicflow.meshes import l2_inner, l2_norm
 from harmonicflow.rng import stream
 
+from oracles import gradient_pairing_check, tension_via_sff
 from test_lojasiewicz import hand_table
 
 

@@ -384,16 +384,18 @@ def test_validate_exponents_total_property(d, k, p):
 
 
 def test_gradient_family_norm_orders(ico2, s2):
-    from harmonicflow.lojasiewicz import gradient_family_norm
+    from harmonicflow.lojasiewicz import _wk_norm, gradient_dual_norm
     from harmonicflow.meshes import lp_norm
     from harmonicflow import tension
     from harmonicflow.errors import UnsupportedOrder as UO
 
     f = perturbed_constant_map(ico2, s2, 0.1, stream(12, "fam"))
+    m = tension(f).values
     # k = 2: plain L^p norm of the tension field
-    assert gradient_family_norm(f, 2, 3.0) == lp_norm(ico2, tension(f).values, 3.0)
+    assert _wk_norm(ico2, 3, 2, 3.0)(m) == lp_norm(ico2, m, 3.0)
     # k = 1: dual-norm stand-in, dominated by the L2 norm
     from harmonicflow.meshes import l2_norm as _l2
-    assert 0.0 < gradient_family_norm(f, 1, 3.0) <= _l2(ico2, tension(f).values)
+    assert 0.0 < gradient_dual_norm(f, 3.0) <= _l2(ico2, m)
+    assert gradient_dual_norm(f, 3.0) == _wk_norm(ico2, 3, 1, 3.0)(m)
     with pytest.raises(UO):
-        gradient_family_norm(f, 3, 2.0)
+        _wk_norm(ico2, 3, 3, 2.0)

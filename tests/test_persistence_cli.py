@@ -38,7 +38,7 @@ from harmonicflow.errors import (
     CheckpointVersionError,
     ConfigError,
     EmptyTrace,
-    OffTarget,
+    NotOnTarget,
     SpecMismatch,
 )
 from harmonicflow.flow import FlowSample, FlowTrace
@@ -108,7 +108,7 @@ def test_checkpoint_off_target_rejected(ico2, s2, tmp_path):
     payload = json.loads(path.read_text())
     payload["values"][0] = ["1.5", "0", "0"]
     path.write_text(json.dumps(payload))
-    with pytest.raises(OffTarget):
+    with pytest.raises(NotOnTarget):
         load_checkpoint(str(path))
 
 
@@ -119,7 +119,7 @@ def test_checkpoint_nan_value_rejected(ico2, s2, tmp_path):
     payload = json.loads(path.read_text())
     payload["values"][0][1] = "nan"
     path.write_text(json.dumps(payload))
-    with pytest.raises(OffTarget):
+    with pytest.raises(NotOnTarget):
         load_checkpoint(str(path))
 
 
@@ -506,6 +506,18 @@ def test_cli_bogus_verify_variant_exit_2(tmp_path, capsys):
     cfg = BASE_CFG.format(analyses="verify") + "\n[verify]\np = 3\nvariant = bogus\n"
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
     assert "variant" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant,norm,k,p", [("wk", "l2", 2, 1.5), ("l2", "wk", 1, 3.0)])
+def test_cli_verify_variant_and_norm_must_agree(tmp_path, capsys, variant, norm, k, p):
+    # admissibility reads variant and the measured norm reads norm: (2, 1.5) is
+    # admissible for wk only on a 2-D source, (1, 3) for both
+    verify = {"k": k, "p": p, "variant": variant, "norm": norm, "count": 4}
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "verify"}, verify=verify)
+    assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "variant" in err and "norm" in err
+    assert not (tmp_path / "out" / "verify_margins.json").exists()
 
 
 def test_cli_hessian_spec_assembles_one_hessian(tmp_path, monkeypatch):
