@@ -11,7 +11,6 @@ import math
 
 from harmonicflow import (
     FlowControl,
-    MapField,
     UnitSphere,
     build_icosphere,
     constant_map,
@@ -40,11 +39,10 @@ def main():
           f"initial energy {args.amplitude:.2f}-amplitude perturbation")
 
     trace = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
-    f_inf = MapField(trace.final_values, s2, mesh)
-    print(f"flow: {trace.terminated_by} after {len(trace.samples) - 1} steps, "
-          f"final energy {trace.energies()[-1]:.3e}")
+    print(f"flow: {trace.terminated_by} after {len(trace.t) - 1} steps, "
+          f"final energy {trace.energy[-1]:.3e}")
 
-    fit = fit_exponent(trace, f_inf)
+    fit = fit_exponent(trace, trace.final)
     print(f"exponent fit: theta = {fit.theta_hat:.4f} (prediction 1/2), "
           f"Z = {fit.z_hat:.3f}, r^2 = {fit.r_squared:.6f}, "
           f"{fit.point_count} points over "
@@ -58,7 +56,7 @@ def main():
     samples = sample_neighborhood(f_const, 0.1, 32, seed=args.seed)
     rep = verify_inequality(samples, f_const, 0.5, 0.9)
     print(f"inequality check at theta = 1/2: min ratio |M| / gap^theta = "
-          f"{rep.min_ratio:.3f} over {len(rep.rows)} samples")
+          f"{rep.min_ratio:.3f} over {len(rep.gap)} samples")
 
     mb = morse_bott_report(f_const, expected_critical_dim=2)
     print(f"hessian kernel at the constant map: dim {mb.kernel_dim} "

@@ -1,4 +1,4 @@
-"""Text checkpoints for map fields and CSV trace export.
+"""Text checkpoints for map fields, and float columns as CSV.
 
 Floats are written as 17-significant-digit decimals, which round-trip
 float64 exactly; checkpoints are therefore lossless and diff-able.
@@ -23,7 +23,7 @@ from .meshes import SourceMesh, build_source
 from .targets import EmbeddedTarget, build_target
 
 FORMAT_VERSION = 1
-TRACE_HEADER = "t,energy,grad_norm_l2,dist_to_limit,dt"
+TRACE_COLUMNS = ["t", "energy", "grad_norm_l2", "dist_to_limit", "dt"]
 
 
 def fmt(x: float) -> str:
@@ -87,30 +87,39 @@ def load_checkpoint(
     return MapField(values, target, mesh), metadata
 
 
-def export_trace(trace: FlowTrace, path: str) -> None:
-    """CSV with header t,energy,grad_norm_l2,dist_to_limit,dt."""
-    if not trace.samples:
-        raise EmptyTrace("cannot export a trace with no samples")
-    lines = [TRACE_HEADER]
-    for s in trace.samples:
-        lines.append(
-            ",".join(fmt(v) for v in (s.t, s.energy, s.grad_norm_l2,
-                                      s.dist_to_limit, s.dt))
-        )
+def write_columns(path: str, names: list[str], columns: list[np.ndarray]) -> None:
+    """CSV of equal-length float columns under a header of their names."""
+    row = ",".join(["%.17g"] * len(names))  # "%.17g" % x == fmt(x)
+    text = "\n".join([",".join(names)] + [row] * len(columns[0]))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text % tuple(np.column_stack(columns).ravel().tolist()) + "\n")
 
 
-def read_trace(path: str) -> dict[str, np.ndarray]:
+def read_columns(path: str, names: list[str]) -> list[np.ndarray]:
+    """Inverse of write_columns for a file written under ``names``."""
     with open(path) as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise CheckpointParseError(f"{path}: bad trace header")
-    cols = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    if cols.size == 0:
-        raise CheckpointParseError(f"{path}: no samples")
-    names = TRACE_HEADER.split(",")
-    return {name: cols[:, i] for i, name in enumerate(names)}
+    if not lines or lines[0] != ",".join(names):
+        raise CheckpointParseError(f"{path}: bad header, expected {','.join(names)}")
+    try:
+        table = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
+    except ValueError as exc:
+        raise CheckpointParseError(f"{path}: {exc}") from exc
+    if table.size == 0 or table.shape[1] != len(names):
+        raise CheckpointParseError(f"{path}: no rows of {len(names)} values")
+    return list(table.T)
+
+
+def export_trace(trace: FlowTrace, path: str) -> None:
+    """trace.csv: the trace's columns under TRACE_COLUMNS."""
+    if len(trace.t) == 0:
+        raise EmptyTrace("cannot export a trace with no samples")
+    write_columns(path, TRACE_COLUMNS, [getattr(trace, name) for name in TRACE_COLUMNS])
+
+
+def read_trace(path: str) -> FlowTrace:
+    """The columns of a trace.csv as a FlowTrace; the run's record is not in the file."""
+    return FlowTrace(*read_columns(path, TRACE_COLUMNS))
 
 
 def write_json(obj: dict, path: str) -> None:

@@ -30,7 +30,7 @@ from . import __version__
 from . import lojasiewicz as loja
 from .energy import hessian_matrix, hessian_spectrum
 from .charts import bilipschitz_estimate
-from .checkpoint import export_trace, save_checkpoint, write_json
+from .checkpoint import export_trace, save_checkpoint, write_columns, write_json
 from .config import (
     ANALYSES,
     INITIAL_MAP_KINDS,
@@ -95,7 +95,6 @@ class _Run:
             raise ConfigError(f"[chart_audit] radius = {radius} is not below the "
                               f"target's chart radius {self.target.chart_radius()}")
         self.trace = None
-        self.f_inf = None
         self.outputs: list[str] = []
 
     def path(self, name: str) -> str:
@@ -111,39 +110,36 @@ class _Run:
         if self.trace is not None:
             return
         self.trace = run_flow(self.f0, flow_control_from_config(self.scn.flow))
-        self.f_inf = MapField(self.trace.final_values, self.target, self.mesh)
 
     def limit_map(self) -> MapField:
         """Flow limit if a flow ran, otherwise the initial map."""
-        return self.f_inf if self.f_inf is not None else self.f0
+        return self.trace.final if self.trace is not None else self.f0
 
     def run_flow(self):
         self.ensure_flow()
-        export_trace(self.trace, self.record("trace.csv"))
+        tr = self.trace
+        steps = len(tr.t) - 1
+        export_trace(tr, self.record("trace.csv"))
         save_checkpoint(
-            self.f_inf,
-            {
-                "step": len(self.trace.samples) - 1,
-                "time": float(self.trace.times()[-1]),
-                "energy": float(self.trace.energies()[-1]),
-            },
+            tr.final,
+            {"step": steps, "time": float(tr.t[-1]), "energy": float(tr.energy[-1])},
             self.record("final_map.json"),
         )
         if self.scn.flow["write_checkpoints"]:
-            for step, values in self.trace.checkpoints:
+            for step, values in tr.checkpoints:
                 f = MapField(values, self.target, self.mesh)
                 save_checkpoint(
                     f, {"step": step}, self.record(f"checkpoint_{step:06d}.json")
                 )
         write_json(
             {
-                "terminated_by": self.trace.terminated_by,
-                "accepted_steps": len(self.trace.samples) - 1,
-                "final_energy": float(self.trace.energies()[-1]),
-                "final_grad_norm": float(self.trace.grad_norms()[-1]),
-                "candidates": self.trace.candidates,
-                "energy_rejections": self.trace.energy_rejections,
-                "radius_halvings": self.trace.radius_halvings,
+                "terminated_by": tr.terminated_by,
+                "accepted_steps": steps,
+                "final_energy": float(tr.energy[-1]),
+                "final_grad_norm": float(tr.grad_norm_l2[-1]),
+                "candidates": tr.candidates,
+                "energy_rejections": tr.energy_rejections,
+                "radius_halvings": tr.radius_halvings,
             },
             self.record("flow_summary.json"),
         )
@@ -152,7 +148,7 @@ class _Run:
         self.ensure_flow()
         lo = self.scn.loja_fit["window_lo"]
         window = (lo, self.scn.loja_fit["window_hi"]) if lo is not None else None
-        fit = loja.fit_exponent(self.trace, self.f_inf, window=window)
+        fit = loja.fit_exponent(self.trace, self.trace.final, window=window)
         payload = fit.to_json_dict()
         try:
             payload["convergence"] = loja.convergence_classifier(self.trace).to_json_dict()
@@ -175,7 +171,8 @@ class _Run:
             report = loja.classify_morse_bott(spec, hs["expected_critical_dim"])
             write_json(report.to_json_dict(), self.record("morse_bott.json"))
 
-    def run_verify(self):
+    def verify_verdict(self) -> loja.ExponentVerdict:
+        """The [verify] (d, k, p) verdict; InadmissibleExponents unless admissible."""
         vf = self.scn.verify
         d = self.mesh.dimension
         verdict = loja.validate_exponents(d, vf["k"], vf["p"], vf["variant"])
@@ -183,6 +180,11 @@ class _Run:
             raise InadmissibleExponents(
                 f"(d={d}, k={vf['k']}, p={vf['p']}, {vf['variant']}): {verdict.reason}"
             )
+        return verdict
+
+    def run_verify(self):
+        vf = self.scn.verify
+        verdict = self.verify_verdict()
         f_inf = self.limit_map()
         samples = loja.sample_neighborhood(
             f_inf, vf["sigma"], vf["count"], norm=(vf["k"], vf["p"]), seed=self.scn.seed
@@ -194,11 +196,8 @@ class _Run:
         payload = report.to_json_dict()
         payload["exponent_clause"] = verdict.reason
         write_json(payload, self.record("verify_margins.json"))
-        lines = ["energy_gap,grad_norm,ratio"]
-        for gap, gn, ratio in report.rows:
-            lines.append(f"{gap:.17g},{gn:.17g},{ratio:.17g}")
-        with open(self.record("verify_samples.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_columns(self.record("verify_samples.csv"), ["energy_gap", "grad_norm", "ratio"],
+                      [report.gap, report.grad_norm, report.ratio])
 
     def run_chart_audit(self):
         ca = self.scn.chart_audit
@@ -247,6 +246,8 @@ def run_scenario(
     analyses = [only_analysis] if only_analysis else list(scn.analyses)
     try:
         run = _Run(scn, out_dir)
+        if "verify" in analyses:  # before any analysis writes its outputs
+            run.verify_verdict()
         for name in analyses:
             ANALYSIS_RUNNERS[name](run)
     except CONFIG_ERRORS as exc:

@@ -9,8 +9,12 @@ reaches the chart radius; the flow ends with ``step_collapse`` once dt falls
 below dt_min.  Five consecutive acceptances grow dt by 1.25x, capped at
 100 dt0; radius halvings keep the streak.  dt0 and the cap are clamped to
 0.95 of the stability limit 2/lambda_G, lambda_G the Gershgorin bound of
-K/area: beyond it the slack lets steps that no longer converge pass.  Trace
-energies are back-filled from one D-sum at the final map, E_n = E_{n+1} - dE_n.
+K/area: beyond it the slack lets steps that no longer converge pass.  A
+first step below dt_min is a configuration error.
+
+The trace is trace.csv's five columns, built once after the loop.  Its
+energies are back-filled from one D-sum at the final map, E_n = E_{n+1} - dE_n,
+and dist_to_limit is filled at the checkpointed steps.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChartRadiusExceeded, InsufficientSamples
+from .errors import ConfigError, InsufficientSamples
 from .fields import MapField, TangentField
 from .meshes import row_dots, sobolev_norm
 from .energy import energy
 
-__all__ = ["FlowControl", "FlowSample", "FlowTrace", "run_flow", "dissipation_check"]
+__all__ = ["FlowControl", "FlowTrace", "run_flow", "dissipation_check"]
 
 ENERGY_SLACK = 1e-12
 GROW_FACTOR = 1.25
@@ -46,50 +50,41 @@ class FlowControl:
 
 
 @dataclass
-class FlowSample:
-    t: float
-    energy: float
-    grad_norm_l2: float
-    dist_to_limit: float  # nan until filled in after the run
-    dt: float             # step that produced this state (0 for the initial one)
-
-
-@dataclass
 class FlowTrace:
-    samples: list[FlowSample] = field(default_factory=list)
+    """trace.csv's columns, row i the state after i accepted steps, and the run's record."""
+
+    t: np.ndarray
+    energy: np.ndarray
+    grad_norm_l2: np.ndarray
+    dist_to_limit: np.ndarray  # nan except at checkpointed steps
+    dt: np.ndarray             # step that produced the row's state (0 for the initial one)
     terminated_by: str = ""
     checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
-    final_values: np.ndarray | None = None
+    final: MapField | None = None
     candidates: int = 0
     energy_rejections: int = 0
     radius_halvings: int = 0
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
-
-    def grad_norms(self) -> np.ndarray:
-        return np.array([s.grad_norm_l2 for s in self.samples])
-
 
 def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
-    """Adaptive explicit flow; sample i is the state after i accepted steps."""
+    """Adaptive explicit flow; row i of the trace is the state after i accepted steps."""
     ctl = control or FlowControl()
-    if not ctl.dt0 > 0:  # NaN fails too
-        raise ChartRadiusExceeded("dt0 must be positive")
-    trace = FlowTrace()
     f = f0
     K, area = f0.mesh.stiffness, f0.mesh.area
     # Gershgorin: lambda_max(K/area) <= lambda_G = max_i sum_j |K_ij| / area_i
     lam_g = float(np.max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]) / area))
-    dt_cap = min(ctl.dt0 * GROW_CAP, STABLE_FRACTION * 2.0 / lam_g)
+    stable = STABLE_FRACTION * 2.0 / lam_g
+    dt_cap = min(ctl.dt0 * GROW_CAP, stable)
     dt = min(ctl.dt0, dt_cap)
+    if not dt >= ctl.dt_min:  # NaN and non-positive dt0 fail too
+        raise ConfigError(f"[flow] dt_min = {ctl.dt_min} is above the first step {dt} = "
+                          f"min(dt0 = {ctl.dt0}, 0.95 of the stability limit = {stable})")
     t = 0.0
     streak = 0
-    last_dt = 0.0
+    candidates = rejections = halvings = 0
+    times, grad_norms, dts = [], [], [0.0]
     increments: list[float] = []  # dE of each accepted step
+    checkpoints: list[tuple[int, np.ndarray]] = []
     kf = K @ f.values
     delta = f0.target.chart_radius()
 
@@ -97,28 +92,29 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
         m = TangentField.project(kf / area[:, None], f)  # M(f) = dpi(f) Delta f
         r = row_dots(m.values, m.values)  # one pass gives |M|_L2 and |M|_inf
         gn = math.sqrt(float(np.dot(area, r)))
-        trace.samples.append(FlowSample(t, math.nan, gn, math.nan, last_dt))
+        times.append(t)
+        grad_norms.append(gn)
         accepted = len(increments)
         if ctl.checkpoint_every > 0 and accepted % ctl.checkpoint_every == 0:
-            trace.checkpoints.append((accepted, f.values.copy()))
+            checkpoints.append((accepted, f.values.copy()))
 
         if gn <= ctl.grad_tol:
-            trace.terminated_by = "grad_norm_below"
+            terminated_by = "grad_norm_below"
             break
         if accepted >= ctl.max_steps:
-            trace.terminated_by = "max_steps"
+            terminated_by = "max_steps"
             break
         if t >= ctl.max_time:
-            trace.terminated_by = "max_time"
+            terminated_by = "max_time"
             break
 
         sup = math.sqrt(float(r.max()))
         while dt > 0 and dt >= ctl.dt_min:
             if dt * sup >= delta:  # keep the displacement inside the chart radius
-                trace.radius_halvings += 1
+                halvings += 1
                 dt *= 0.5
                 continue
-            trace.candidates += 1
+            candidates += 1
             candidate = MapField.project(f.values - dt * m.values, f.target, f.mesh)
             kc = K @ candidate.values
             d_e = 0.5 * float(np.vdot(candidate.values - f.values, kf + kc))
@@ -126,44 +122,35 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
                 f, kf = candidate, kc
                 increments.append(d_e)
                 t += dt
-                last_dt = dt
+                dts.append(dt)
                 streak += 1
                 if streak >= GROW_AFTER:
                     dt = min(dt * GROW_FACTOR, dt_cap)
                     streak = 0
                 break
-            trace.energy_rejections += 1
+            rejections += 1
             streak = 0
             dt *= 0.5
         else:  # no step accepted before dt fell below dt_min
-            trace.terminated_by = "step_collapse"
+            terminated_by = "step_collapse"
             break
 
-    e = energy(f)  # the one D-sum; a forward sum of increments would drift
-    for s, d_e in zip(reversed(trace.samples), [*reversed(increments), 0.0]):
-        s.energy = e
-        e -= d_e
-    _fill_distances(trace, f, ctl)
-    trace.final_values = f.values
-    return trace
-
-
-def _fill_distances(trace: FlowTrace, f_final: MapField, ctl: FlowControl) -> None:
-    """Distance to the limit in the configured norm, at checkpointed steps."""
+    # the one D-sum; a forward sum of increments would drift
+    energies = np.subtract.accumulate([energy(f), *reversed(increments)])[::-1]
+    dist = np.full(len(times), math.nan)
     k, p = ctl.dist_norm
-    for step, values in trace.checkpoints:
-        # sample i is the state after i accepted steps
-        diff = values - f_final.values
-        trace.samples[step].dist_to_limit = sobolev_norm(f_final.mesh, diff, k, p)
+    dist[[step for step, _ in checkpoints]] = [
+        sobolev_norm(f.mesh, values - f.values, k, p) for _, values in checkpoints
+    ]
+    return FlowTrace(np.array(times), energies, np.array(grad_norms), dist, np.array(dts),
+                     terminated_by, checkpoints, f, candidates, rejections, halvings)
 
 
 def dissipation_check(trace: FlowTrace) -> float:
     """Max relative residual of dE/dt = -|M|^2 over interior trace samples."""
-    if len(trace.samples) < 3:
+    if len(trace.t) < 3:
         raise InsufficientSamples("need at least 3 samples")
-    t = trace.times()
-    e = trace.energies()
-    g2 = trace.grad_norms() ** 2
+    t, e, g2 = trace.t, trace.energy, trace.grad_norm_l2**2
     worst = 0.0
     for i in range(1, len(t) - 1):
         dt_span = t[i + 1] - t[i - 1]

@@ -123,7 +123,9 @@ class InequalityReport:
     theta: float
     z: float
     norm_used: str
-    rows: list[tuple[float, float, float]]  # (energy gap, grad norm, ratio)
+    gap: np.ndarray  # |E(f) - E(f_inf)| per sample, the columns of verify_samples.csv
+    grad_norm: np.ndarray
+    ratio: np.ndarray  # grad_norm / gap**theta, inf at a zero gap
     min_margin: float
     min_ratio: float
 
@@ -134,7 +136,7 @@ class InequalityReport:
             "norm_used": self.norm_used,
             "min_margin": self.min_margin,
             "min_ratio": self.min_ratio,
-            "sample_count": len(self.rows),
+            "sample_count": len(self.gap),
         }
 
 
@@ -156,21 +158,21 @@ def verify_inequality(
     else:
         raise ValueError(f"unknown norm_used {norm_used!r}")
     e_inf = energy(f_inf)
-    rows = []
-    for f in samples:
-        gap = abs(energy(f) - e_inf)
-        gn = grad_norm(tension(f).values)
-        ratio = gn / gap**theta if gap > 0 else float("inf")
-        rows.append((gap, gn, ratio))
-    margins = [gn - z * gap**theta for gap, gn, _ in rows]
-    finite = [r for _, _, r in rows if math.isfinite(r)]
+    gaps = [abs(energy(f) - e_inf) for f in samples]
+    gns = [grad_norm(tension(f).values) for f in samples]
+    # scalar powers: numpy's gap**0.5 takes the sqrt path, which can differ in the last digit
+    ratios = [gn / gap**theta if gap > 0 else math.inf for gap, gn in zip(gaps, gns)]
+    margins = [gn - z * gap**theta for gap, gn in zip(gaps, gns)]
+    finite = [r for r in ratios if math.isfinite(r)]
     return InequalityReport(
         theta=theta,
         z=z,
         norm_used=norm_used,
-        rows=rows,
+        gap=np.array(gaps, dtype=float),
+        grad_norm=np.array(gns, dtype=float),
+        ratio=np.array(ratios, dtype=float),
         min_margin=min(margins) if margins else 0.0,
-        min_ratio=min(finite) if finite else float("inf"),
+        min_ratio=min(finite) if finite else math.inf,
     )
 
 
@@ -196,29 +198,17 @@ def default_window(e_inf: float, gaps: np.ndarray) -> tuple[float, float]:
     return (10.0 * floor, float(np.max(gaps)) / 10.0 if gaps.size else floor)
 
 
-def _gap_grad_pairs(
-    source: FlowTrace | list[MapField], f_inf: MapField
-) -> tuple[np.ndarray, np.ndarray]:
-    e_inf = energy(f_inf)
-    if isinstance(source, FlowTrace):
-        gaps = np.abs(source.energies() - e_inf)
-        gns = source.grad_norms()
-    else:
-        gaps = np.array([abs(energy(f) - e_inf) for f in source])
-        gns = np.array([grad_l2_norm(f) for f in source])
-    return gaps, gns
-
-
 def fit_exponent(
-    source: FlowTrace | list[MapField],
+    trace: FlowTrace,
     f_inf: MapField,
     window: tuple[float, float] | None = None,
     norm_used: str = "l2",
 ) -> LojasiewiczFit:
     """Least-squares slope of log|M| against log|E - E_inf| inside the window."""
-    gaps, gns = _gap_grad_pairs(source, f_inf)
+    e_inf = energy(f_inf)
+    gaps, gns = np.abs(trace.energy - e_inf), trace.grad_norm_l2
     if window is None:
-        window = default_window(energy(f_inf), gaps)
+        window = default_window(e_inf, gaps)
     lo, hi = window
     if not (0 < lo < hi):
         raise DegenerateWindow(f"window {window} is empty or inverted")
@@ -329,8 +319,7 @@ def convergence_classifier(
     trace: FlowTrace, grad_cut: float = 1e-3, min_tail: int = 20
 ) -> ConvergenceVerdict:
     """Fit the trace tail as exponential versus power-law decay of |M|."""
-    t = trace.times()
-    gn = trace.grad_norms()
+    t, gn = trace.t, trace.grad_norm_l2
     keep = (gn < grad_cut) & (gn > 0) & (t > 0)
     t, gn = t[keep], gn[keep]
     if t.size < min_tail:

@@ -41,7 +41,7 @@ from harmonicflow.meshes import l2_inner, l2_norm
 from harmonicflow.rng import stream
 
 from oracles import gradient_pairing_check, tension_via_sff
-from test_lojasiewicz import hand_table
+from test_lojasiewicz import columns_trace, hand_table
 
 
 def report(criterion, ok, detail):
@@ -60,8 +60,7 @@ def near_identity(mesh, s2, amplitude=0.2, seed=7):
 def constant_basin_trace(ico3, s2):
     f0 = perturbed_constant_map(ico3, s2, 0.1, stream(3, "acceptance"))
     trace = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
-    f_inf = MapField(trace.final_values, s2, ico3)
-    return trace, f_inf
+    return trace, trace.final
 
 
 def test_criterion_01_energy_exactness(circle256, s1, ico4, s2):
@@ -156,14 +155,9 @@ def test_criterion_07_convergence_dichotomy(constant_basin_trace):
     trace, _ = constant_basin_trace
     flow_verdict = convergence_classifier(trace)
 
-    from harmonicflow.flow import FlowSample, FlowTrace
-
-    exp_tr = FlowTrace()
-    for t in np.linspace(0.1, 12.0, 300):
-        exp_tr.samples.append(FlowSample(float(t), 0.0, math.exp(-3.0 * t), float("nan"), 0.1))
-    pow_tr = FlowTrace()
-    for t in np.geomspace(40.0, 4000.0, 300):
-        pow_tr.samples.append(FlowSample(float(t), 0.0, t ** (-2.0), float("nan"), 0.1))
+    t_exp, t_pow = np.linspace(0.1, 12.0, 300), np.geomspace(40.0, 4000.0, 300)
+    exp_tr = columns_trace(t_exp, np.zeros(300), np.exp(-3.0 * t_exp))
+    pow_tr = columns_trace(t_pow, np.zeros(300), t_pow ** (-2.0))
     exp_verdict = convergence_classifier(exp_tr)
     pow_verdict = convergence_classifier(pow_tr)
     ok = (
@@ -219,7 +213,7 @@ def test_criterion_11_determinism(tmp_path):
     cfg = """
 [scenario]
 seed = 99
-analyses = flow, loja-fit, chart-audit
+analyses = flow, loja-fit, verify, chart-audit
 
 [mesh]
 kind = icosphere
@@ -252,6 +246,7 @@ grad_tol = 1e-8
         same_files = same_files and a == b
     for m in manifests:
         m.pop("wall_time_s")
-    ok = same_files and manifests[0] == manifests[1]
+    listed = {entry["path"] for entry in manifests[0]["outputs"]}
+    ok = same_files and manifests[0] == manifests[1] and {"trace.csv", "verify_samples.csv"} <= listed
     report(11, ok, f"{len(manifests[0]['outputs'])} artifacts byte-identical, "
                    "manifests equal up to wall time")

@@ -18,8 +18,9 @@ from harmonicflow import (
     run_flow,
     tension,
 )
-from harmonicflow.errors import ChartRadiusExceeded, InsufficientSamples
-from harmonicflow.flow import FlowSample, FlowTrace
+import harmonicflow.flow as flow_module
+from harmonicflow.errors import ConfigError, InsufficientSamples
+from harmonicflow.flow import FlowTrace
 from harmonicflow.targets import EmbeddedTarget, TorusOfRevolution
 from harmonicflow.meshes import l2_norm
 from harmonicflow.rng import stream
@@ -59,34 +60,35 @@ def test_step_radius_guard(ico2, s2):
     sup = tension(f).linf()
     assert 0.015 * sup >= s2.chart_radius()  # dt0 starts outside the radius
     tr = run_flow(f, FlowControl(dt0=0.015, max_steps=1))
-    assert len(tr.samples) == 2
+    assert len(tr.t) == 2
     assert tr.radius_halvings == 1
-    assert tr.samples[1].dt * sup < s2.chart_radius()
+    assert tr.dt[1] * sup < s2.chart_radius()
 
 
 def test_run_flow_terminates_immediately_at_constant(ico2, s2):
-    tr = run_flow(constant_map(ico2, s2), FlowControl(grad_tol=1e-9))
+    f0 = constant_map(ico2, s2)
+    tr = run_flow(f0, FlowControl(grad_tol=1e-9))
     assert tr.terminated_by == "grad_norm_below"
-    assert len(tr.samples) == 1
+    assert len(tr.t) == 1
+    assert tr.final is f0  # no step accepted: the flow ends where it began
 
 
 def test_run_flow_converges_in_constant_basin(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(3, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
     assert tr.terminated_by == "grad_norm_below"
-    assert tr.energies()[-1] <= 1e-8
+    assert tr.energy[-1] <= 1e-8
     # the limit is a constant map
-    fin = tr.final_values
+    fin = tr.final.values
     assert np.max(np.linalg.norm(fin - fin.mean(axis=0), axis=1)) <= 1e-6
 
 
 def test_trace_invariants(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(4, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=500))
-    t = tr.times()
-    e = tr.energies()
-    assert np.all(np.diff(t) > 0)
-    assert np.all(np.diff(e) <= 1e-12)
+    assert np.all(np.diff(tr.t) > 0)
+    assert np.all(np.diff(tr.energy) <= 1e-12)
+    assert np.array_equal(np.cumsum(tr.dt), tr.t)  # t accumulates the accepted steps
 
 
 def test_small_energy_degree_zero_circle_goes_constant(s1):
@@ -95,7 +97,7 @@ def test_small_energy_degree_zero_circle_goes_constant(s1):
     f0 = perturbed_constant_map(mesh, s1, 0.2, stream(5, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-4, grad_tol=1e-10))
     assert tr.terminated_by == "grad_norm_below"
-    assert tr.energies()[-1] <= 1e-10
+    assert tr.energy[-1] <= 1e-10
 
 
 def test_flow_equivariant_under_target_rotation(ico2, s2):
@@ -110,12 +112,15 @@ def test_flow_equivariant_under_target_rotation(ico2, s2):
     assert np.max(np.abs(a - b)) <= 1e-12
 
 
-def test_step_collapse_termination(ico2, s2):
+def test_step_collapse_termination(ico2, s2, monkeypatch):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
-    # dt0 too large to ever be accepted, and no room to halve
-    ctl = FlowControl(dt0=0.2, dt_min=0.15, max_steps=10)
-    tr = run_flow(f0, ctl)
+    # an energy test no candidate passes: 1e-3, 5e-4, 2.5e-4 and 1.25e-4 are
+    # rejected, and the next halving falls below dt_min
+    monkeypatch.setattr(flow_module, "ENERGY_SLACK", -math.inf)
+    tr = run_flow(f0, FlowControl(dt0=1e-3, dt_min=1e-4, max_steps=10))
     assert tr.terminated_by == "step_collapse"
+    assert len(tr.t) == 1
+    assert (tr.candidates, tr.energy_rejections, tr.radius_halvings) == (4, 4, 0)
 
 
 def test_radius_guard_at_dt_min_is_step_collapse(ico2, s2):
@@ -124,15 +129,22 @@ def test_radius_guard_at_dt_min_is_step_collapse(ico2, s2):
     assert 0.015 * tension(f0).linf() >= s2.chart_radius()
     tr = run_flow(f0, FlowControl(dt0=0.015, dt_min=0.01))
     assert tr.terminated_by == "step_collapse"
-    assert len(tr.samples) == 1
+    assert len(tr.t) == 1
     assert (tr.radius_halvings, tr.candidates) == (1, 0)
 
 
 @pytest.mark.parametrize("dt0", [0.0, -1e-3, math.nan])
 def test_run_flow_rejects_non_positive_dt0(ico2, s2, dt0):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
-    with pytest.raises(ChartRadiusExceeded):
+    with pytest.raises(ConfigError, match="dt_min"):
         run_flow(f0, FlowControl(dt0=dt0))
+
+
+def test_run_flow_rejects_dt_min_above_first_step(ico2, s2):
+    # the first step is min(dt0, 0.95 * 2/lambda_G) = 1e-3: no step could be tried
+    f0 = perturbed_constant_map(ico2, s2, 0.1, stream(7, "flow"))
+    with pytest.raises(ConfigError, match=r"dt_min = 0\.05 .*dt0 = 0\.001.*stability limit"):
+        run_flow(f0, FlowControl(dt0=1e-3, dt_min=0.05))
 
 
 def test_run_flow_makes_no_per_candidate_checks(ico2, s2, monkeypatch):
@@ -147,7 +159,7 @@ def test_run_flow_makes_no_per_candidate_checks(ico2, s2, monkeypatch):
 
         monkeypatch.setattr(EmbeddedTarget, name, counted)
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=20))
-    assert len(tr.samples) - 1 == 20
+    assert len(tr.t) - 1 == 20
     assert calls == []  # every candidate and tension is built by a projection
 
 
@@ -155,7 +167,7 @@ def test_max_steps_termination(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(8, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=5))
     assert tr.terminated_by == "max_steps"
-    assert len(tr.samples) - 1 == 5
+    assert len(tr.t) - 1 == 5
 
 
 def test_max_time_termination(ico2, s2):
@@ -167,11 +179,10 @@ def test_max_time_termination(ico2, s2):
 def test_dist_to_limit_filled_at_checkpoints(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(10, "flow"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, max_steps=250, checkpoint_every=100))
-    dists = np.array([s.dist_to_limit for s in tr.samples])
-    filled = np.isfinite(dists)
-    assert filled.sum() == len(tr.checkpoints)
+    filled = np.isfinite(tr.dist_to_limit)
+    assert np.flatnonzero(filled).tolist() == [step for step, _ in tr.checkpoints]
     # distance to the limit shrinks along the flow
-    vals = dists[filled]
+    vals = tr.dist_to_limit[filled]
     assert vals[-1] <= vals[0]
 
 
@@ -186,7 +197,7 @@ def test_dt_stays_below_stability_limit_at_rounding_floor():
     f0 = MapField(np.stack([rho * np.cos(theta), rho * np.sin(theta), z], axis=1), tgt, mesh)
     tr = run_flow(f0, FlowControl(dt0=1e-4, grad_tol=1e-14, max_time=40,
                                   checkpoint_every=0))
-    g = tr.grad_norms()
+    g = tr.grad_norm_l2
     assert np.max(g / np.minimum.accumulate(g)) <= 10.0
 
 
@@ -215,7 +226,7 @@ def test_trace_energies_match_checkpoint_d_sums(ico3, s2):
     assert len(tr.checkpoints) > 90
     for step, values in tr.checkpoints:
         e = energy(MapField(values, s2, ico3))
-        err = abs(tr.samples[step].energy - e)
+        err = abs(tr.energy[step] - e)
         assert err <= 1e-15 * e0 and err <= 1e-7 * e
 
 
@@ -238,7 +249,7 @@ def test_run_flow_makes_one_stiffness_product_per_candidate(ico2, s2):
     mesh = dataclasses.replace(ico2, stiffness=K, diff=D)
     f0 = rough_map(mesh, s2, 16)
     tr = run_flow(f0, FlowControl(dt0=0.015, max_steps=300, checkpoint_every=0))
-    assert tr.candidates >= len(tr.samples) - 1 == 300
+    assert tr.candidates >= len(tr.t) - 1 == 300
     assert tr.radius_halvings > 0
     assert (K.products, D.products) == (tr.candidates + 1, 1)
 
@@ -247,16 +258,13 @@ def test_run_flow_makes_one_stiffness_product_per_candidate(ico2, s2):
 # dissipation identity
 
 def fixed_dt_trace(f, dt, steps):
-    tr = FlowTrace()
-    t = 0.0
+    rows, t = [], 0.0
     for _ in range(steps):
         m = tension(f)
-        tr.samples.append(
-            FlowSample(t, energy(f), l2_norm(f.mesh, m.values), float("nan"), dt)
-        )
+        rows.append((t, energy(f), l2_norm(f.mesh, m.values), math.nan, dt))
         f = _step_with(f, m, dt)
         t += dt
-    return tr
+    return FlowTrace(*np.array(rows).T)
 
 
 def test_dissipation_stationary_trace_is_zero(ico2, s2):

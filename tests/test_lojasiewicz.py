@@ -30,7 +30,7 @@ from harmonicflow.errors import (
     InsufficientTail,
     NotCritical,
 )
-from harmonicflow.flow import FlowSample, FlowTrace
+from harmonicflow.flow import FlowTrace
 from harmonicflow.lojasiewicz import gradient_dual_norm
 from harmonicflow.meshes import sobolev_norm
 from harmonicflow.rng import stream
@@ -133,8 +133,8 @@ def test_wrong_exponent_ratios_diverge(ico3, s2):
     f_inf = constant_map(ico3, s2)
     samples = sample_neighborhood(f_inf, 0.1, 32, seed=5)
     rep = verify_inequality(samples, f_inf, 0.9, 1.0)
-    rows = sorted(rep.rows)  # ascending energy gap
-    assert rows[0][2] > 5.0 * rows[-1][2]
+    order = np.argsort(rep.gap)  # ascending energy gap
+    assert rep.ratio[order[0]] > 5.0 * rep.ratio[order[-1]]
 
 
 def test_verify_dual_norm_variant_runs(ico2, s2):
@@ -142,7 +142,7 @@ def test_verify_dual_norm_variant_runs(ico2, s2):
     samples = sample_neighborhood(f_inf, 0.05, 4, seed=3)
     rep = verify_inequality(samples, f_inf, 0.5, 0.1, norm_used="wk_minus_2_p", dual_p=3.0)
     assert rep.min_ratio > 0.0
-    assert all(gn > 0 for _, gn, _ in rep.rows)
+    assert np.all(rep.grad_norm > 0)
 
 
 def test_dual_norm_bounded_by_l2(ico2, s2):
@@ -170,21 +170,22 @@ def test_dual_norm_matches_per_field_reference(ico2, target):
     for f, want in zip(samples, ref):
         assert gradient_dual_norm(f, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
     rep = verify_inequality(samples, f_inf, 0.5, 0.9, "wk_minus_2_p", k=1, dual_p=3.0)
-    got = [gn for _, gn, _ in rep.rows]
-    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert rep.grad_norm.tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
 # exponent fitting
 
+def columns_trace(t, energy, grad_norm):
+    """A FlowTrace of the given columns, with no distances and unit steps."""
+    n = len(t)
+    return FlowTrace(np.asarray(t, dtype=float), np.asarray(energy, dtype=float),
+                     np.asarray(grad_norm, dtype=float), np.full(n, np.nan), np.ones(n))
+
+
 def synthetic_trace(theta=0.5, z=1.0, n=64, lo=1e-9, hi=1e-1):
     gaps = np.geomspace(lo, hi, n)
-    trace = FlowTrace()
-    for i, gap in enumerate(gaps):
-        trace.samples.append(
-            FlowSample(float(i), gap, z * gap**theta, float("nan"), 1.0)
-        )
-    return trace
+    return columns_trace(np.arange(n), gaps, z * gaps**theta)
 
 
 def test_fit_exact_power_law(ico2, s2):
@@ -200,11 +201,7 @@ def test_fit_energy_rescaling_moves_z_not_theta(ico2, s2):
     f_inf = constant_map(ico2, s2)
     theta, c = 0.5, 7.0
     tr = synthetic_trace(theta=theta, z=1.0)
-    scaled = FlowTrace()
-    for s in tr.samples:
-        scaled.samples.append(
-            FlowSample(s.t, c * s.energy, c * s.grad_norm_l2, float("nan"), s.dt)
-        )
+    scaled = columns_trace(tr.t, c * tr.energy, c * tr.grad_norm_l2)
     fit0 = fit_exponent(tr, f_inf, window=(1e-8, 1e-2))
     fit1 = fit_exponent(scaled, f_inf, window=(c * 1e-8, c * 1e-2))
     assert fit1.theta_hat == pytest.approx(fit0.theta_hat, abs=1e-9)
@@ -223,8 +220,7 @@ def test_fit_window_errors(ico2, s2):
 def test_fit_constant_basin_flow(ico2, s2):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(6, "fit"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
-    f_inf = MapField(tr.final_values, s2, ico2)
-    fit = fit_exponent(tr, f_inf)
+    fit = fit_exponent(tr, tr.final)
     assert 0.45 <= fit.theta_hat <= 0.55
     assert fit.r_squared >= 0.99
 
@@ -236,7 +232,7 @@ def test_fit_geodesic_basin_circle(s1):
     u.values *= 0.15 / u.linf()
     f0 = chart_push(f1, u)
     tr = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-10))
-    f_inf = MapField(tr.final_values, s1, mesh)
+    f_inf = tr.final
     fit = fit_exponent(tr, f_inf)
     assert 0.45 <= fit.theta_hat <= 0.55
     rep = morse_bott_report(f_inf, 1, grad_tol=1e-10)
@@ -251,7 +247,9 @@ def test_scale_coherence_fit_on_sampled_family(ico3, s2):
     samples = sample_neighborhood(f_inf, 0.1, 48, seed=1)
     rep = verify_inequality(samples, f_inf, 0.5, 0.9)
     assert rep.min_ratio >= 0.9
-    fit = fit_exponent(samples, f_inf, window=(1e-10, 1e-2))
+    # E(f_inf) = 0: the gap column is the energy column
+    fit = fit_exponent(columns_trace(np.arange(len(rep.gap)), rep.gap, rep.grad_norm),
+                       f_inf, window=(1e-10, 1e-2))
     assert 0.42 <= fit.theta_hat <= 0.58
 
 
@@ -317,17 +315,13 @@ def test_morse_bott_identity_map(ico3, s2):
 # convergence classification
 
 def exp_trace(rate, n=200, t1=12.0):
-    tr = FlowTrace()
-    for t in np.linspace(0.1, t1, n):
-        tr.samples.append(FlowSample(float(t), 0.0, math.exp(-rate * t), float("nan"), 0.1))
-    return tr
+    t = np.linspace(0.1, t1, n)
+    return columns_trace(t, np.zeros(n), np.exp(-rate * t))
 
 
 def power_trace(expo, n=200):
-    tr = FlowTrace()
-    for t in np.geomspace(40.0, 4000.0, n):
-        tr.samples.append(FlowSample(float(t), 0.0, t**expo, float("nan"), 0.1))
-    return tr
+    t = np.geomspace(40.0, 4000.0, n)
+    return columns_trace(t, np.zeros(n), t**expo)
 
 
 def test_classifier_synthetic_exponential():

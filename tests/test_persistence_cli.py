@@ -9,7 +9,6 @@ import pytest
 
 from harmonicflow import (
     FlowControl,
-    MapField,
     constant_map,
     fit_exponent,
     morse_bott_report,
@@ -17,6 +16,7 @@ from harmonicflow import (
     run_flow,
 )
 from harmonicflow.checkpoint import (
+    TRACE_COLUMNS,
     export_trace,
     load_checkpoint,
     read_trace,
@@ -41,10 +41,13 @@ from harmonicflow.errors import (
     NotOnTarget,
     SpecMismatch,
 )
-from harmonicflow.flow import FlowSample, FlowTrace
+from harmonicflow.flow import FlowTrace
 from harmonicflow.rng import stream
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import json_checkpoint_text
+from test_flow import rough_map
 
 
 # ---------------------------------------------------------------------------
@@ -154,9 +157,7 @@ def test_checkpoint_spec_mismatch(ico2, ico3, s2, tmp_path):
 # trace CSV
 
 def one_sample_trace():
-    tr = FlowTrace()
-    tr.samples.append(FlowSample(0.0, 1.0, 0.5, float("nan"), 0.0))
-    return tr
+    return FlowTrace(*np.array([[0.0], [1.0], [0.5], [math.nan], [0.0]]))
 
 
 def test_trace_export_two_lines(tmp_path):
@@ -169,26 +170,34 @@ def test_trace_export_two_lines(tmp_path):
 
 def test_trace_export_empty_raises(tmp_path):
     with pytest.raises(EmptyTrace):
-        export_trace(FlowTrace(), str(tmp_path / "t.csv"))
+        export_trace(FlowTrace(*np.empty((5, 0))), str(tmp_path / "t.csv"))
+
+
+# nan as written by float("nan"); the writer keeps no other payload
+TRACE_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308]),
+    st.floats(allow_nan=False),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(*[TRACE_VALUES] * 5), min_size=1, max_size=12))
+def test_trace_export_read_bitwise_property(tmp_path_factory, rows):
+    path = str(tmp_path_factory.mktemp("trace") / "trace.csv")
+    columns = np.array(rows, dtype=float).T
+    export_trace(FlowTrace(*columns), path)
+    back = read_trace(path)
+    for name, col in zip(TRACE_COLUMNS, columns):
+        assert getattr(back, name).view(np.uint64).tolist() == col.view(np.uint64).tolist()
 
 
 def test_trace_reload_and_refit_identical(ico2, s2, tmp_path):
     f0 = perturbed_constant_map(ico2, s2, 0.1, stream(2, "csv"))
     tr = run_flow(f0, FlowControl(dt0=1e-5, grad_tol=1e-9))
-    f_inf = MapField(tr.final_values, s2, ico2)
-    fit_mem = fit_exponent(tr, f_inf)
+    fit_mem = fit_exponent(tr, tr.final)
     path = tmp_path / "trace.csv"
     export_trace(tr, str(path))
-    data = read_trace(str(path))
-    reparsed = FlowTrace()
-    for i in range(len(data["t"])):
-        reparsed.samples.append(
-            FlowSample(
-                data["t"][i], data["energy"][i], data["grad_norm_l2"][i],
-                data["dist_to_limit"][i], data["dt"][i],
-            )
-        )
-    fit_csv = fit_exponent(reparsed, f_inf, window=fit_mem.window)
+    fit_csv = fit_exponent(read_trace(str(path)), tr.final, window=fit_mem.window)
     assert abs(fit_csv.theta_hat - fit_mem.theta_hat) <= 1e-12
     assert abs(fit_csv.z_hat - fit_mem.z_hat) <= 1e-12 * fit_mem.z_hat
 
@@ -383,13 +392,39 @@ def test_cli_flow_and_manifest_hashes(tmp_path):
     assert 0.4 <= fit["theta_hat"] <= 0.6
 
 
-def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path):
-    cfg = BASE_CFG.format(analyses="flow").replace("dt0 = 1e-5", "dt0 = 4\ndt_min = 3")
+def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path, ico2, s2):
+    # from a rough map the guard halves 0.015 below dt_min before any candidate
+    ck = tmp_path / "rough.json"
+    save_checkpoint(rough_map(ico2, s2, 16), {"step": 0}, str(ck))
+    cfg = BASE_CFG.format(analyses="flow").replace(
+        "kind = perturbed_constant\namplitude = 0.1", f"kind = from_checkpoint\npath = {ck}"
+    ).replace("dt0 = 1e-5", "dt0 = 0.015\ndt_min = 0.01")
     out = tmp_path / "out"
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "flow_summary.json").read_text())
     assert summary["terminated_by"] == "step_collapse"
     assert summary["accepted_steps"] == 0
+    assert (summary["radius_halvings"], summary["candidates"]) == (1, 0)
+
+
+def test_cli_dt_min_above_first_step_exit_2(tmp_path, capsys):
+    # the first step is dt0 = 1e-3 < dt_min: no step could ever be tried
+    cfg = BASE_CFG.format(analyses="flow").replace("dt0 = 1e-5", "dt0 = 1e-3\ndt_min = 0.05")
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "dt_min = 0.05" in err and "dt0 = 0.001" in err and "stability limit" in err
+    assert not (out / "trace.csv").exists()
+
+
+def test_cli_inadmissible_verify_rejected_before_flow(tmp_path, capsys):
+    # d = 1: no (k, p) is admissible on a circle, and the flow must not run first
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow, verify"},
+                       mesh={"kind": "circle", "n": 64}, target={"kind": "sphere", "ambient_dim": 2})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert "d = 1 < 2" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize("analysis,section,keys", [
