@@ -53,7 +53,7 @@ from .errors import (
     SpecMismatch,
 )
 from .fields import MapField
-from .flow import run_flow
+from .flow import first_step, run_flow
 from .meshes import VARIANTS, build_source, sobolev_multiplication_probe
 from .targets import build_target
 
@@ -120,17 +120,11 @@ class _Run:
         tr = self.trace
         steps = len(tr.t) - 1
         export_trace(tr, self.record("trace.csv"))
-        save_checkpoint(
-            tr.final,
-            {"step": steps, "time": float(tr.t[-1]), "energy": float(tr.energy[-1])},
-            self.record("final_map.json"),
-        )
+        meta = {"step": steps, "time": float(tr.t[-1]), "energy": float(tr.energy[-1])}
+        save_checkpoint(tr.final, meta, self.record("final_map.json"))
         if self.scn.flow["write_checkpoints"]:
-            for step, values in tr.checkpoints:
-                f = MapField(values, self.target, self.mesh)
-                save_checkpoint(
-                    f, {"step": step}, self.record(f"checkpoint_{step:06d}.json")
-                )
+            for step, f in tr.checkpoints:
+                save_checkpoint(f, {"step": step}, self.record(f"checkpoint_{step:06d}.json"))
         write_json(
             {
                 "terminated_by": tr.terminated_by,
@@ -140,6 +134,7 @@ class _Run:
                 "candidates": tr.candidates,
                 "energy_rejections": tr.energy_rejections,
                 "radius_halvings": tr.radius_halvings,
+                "dt_range": [float(tr.dt[1:].min()), float(tr.dt[1:].max())] if steps else None,
             },
             self.record("flow_summary.json"),
         )
@@ -248,6 +243,8 @@ def run_scenario(
         run = _Run(scn, out_dir)
         if "verify" in analyses:  # before any analysis writes its outputs
             run.verify_verdict()
+        if "flow" in analyses or "loja-fit" in analyses:
+            first_step(run.mesh, flow_control_from_config(scn.flow))
         for name in analyses:
             ANALYSIS_RUNNERS[name](run)
     except CONFIG_ERRORS as exc:

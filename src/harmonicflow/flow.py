@@ -6,11 +6,11 @@ dE = 1/2 (c - f).(K f + K c), exact for the quadratic energy, is at most
 1e-12, otherwise dt is halved.  K c is the next tension's numerator, so each
 candidate costs one sparse product.  dt is also halved while dt |M|_inf
 reaches the chart radius; the flow ends with ``step_collapse`` once dt falls
-below dt_min.  Five consecutive acceptances grow dt by 1.25x, capped at
-100 dt0; radius halvings keep the streak.  dt0 and the cap are clamped to
-0.95 of the stability limit 2/lambda_G, lambda_G the Gershgorin bound of
-K/area: beyond it the slack lets steps that no longer converge pass.  A
-first step below dt_min is a configuration error.
+below dt_min.  The first step is min(dt0, stable), stable = 0.95 of the
+stability limit 2/lambda_G, lambda_G the Gershgorin bound of K/area: beyond
+it the slack lets steps that no longer converge pass.  Five consecutive
+acceptances grow dt by 1.25x up to stable; radius halvings keep the streak.
+A first step below dt_min is a configuration error.
 
 The trace is trace.csv's five columns, built once after the loop.  Its
 energies are back-filled from one D-sum at the final map, E_n = E_{n+1} - dE_n,
@@ -29,12 +29,11 @@ from .fields import MapField, TangentField
 from .meshes import row_dots, sobolev_norm
 from .energy import energy
 
-__all__ = ["FlowControl", "FlowTrace", "run_flow", "dissipation_check"]
+__all__ = ["FlowControl", "FlowTrace", "first_step", "run_flow", "dissipation_check"]
 
 ENERGY_SLACK = 1e-12
 GROW_FACTOR = 1.25
 GROW_AFTER = 5
-GROW_CAP = 100.0
 STABLE_FRACTION = 0.95  # of the explicit stability limit 2/lambda_G
 
 
@@ -59,32 +58,36 @@ class FlowTrace:
     dist_to_limit: np.ndarray  # nan except at checkpointed steps
     dt: np.ndarray             # step that produced the row's state (0 for the initial one)
     terminated_by: str = ""
-    checkpoints: list[tuple[int, np.ndarray]] = field(default_factory=list)
+    checkpoints: list[tuple[int, MapField]] = field(default_factory=list)
     final: MapField | None = None
     candidates: int = 0
     energy_rejections: int = 0
     radius_halvings: int = 0
 
 
+def first_step(mesh, control: FlowControl) -> tuple[float, float]:
+    """(min(dt0, stable), stable); a first step below dt_min is a ConfigError."""
+    K = mesh.stiffness
+    # Gershgorin: lambda_max(K/area) <= lambda_G = max_i sum_j |K_ij| / area_i
+    lam_g = float(np.max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]) / mesh.area))
+    stable = STABLE_FRACTION * 2.0 / lam_g
+    dt = min(control.dt0, stable)
+    if not dt >= control.dt_min:  # NaN and non-positive dt0 fail too
+        raise ConfigError(f"[flow] dt_min = {control.dt_min} is above the first step {dt} = "
+                          f"min(dt0 = {control.dt0}, 0.95 of the stability limit = {stable})")
+    return dt, stable
+
+
 def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     """Adaptive explicit flow; row i of the trace is the state after i accepted steps."""
     ctl = control or FlowControl()
-    f = f0
-    K, area = f0.mesh.stiffness, f0.mesh.area
-    # Gershgorin: lambda_max(K/area) <= lambda_G = max_i sum_j |K_ij| / area_i
-    lam_g = float(np.max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]) / area))
-    stable = STABLE_FRACTION * 2.0 / lam_g
-    dt_cap = min(ctl.dt0 * GROW_CAP, stable)
-    dt = min(ctl.dt0, dt_cap)
-    if not dt >= ctl.dt_min:  # NaN and non-positive dt0 fail too
-        raise ConfigError(f"[flow] dt_min = {ctl.dt_min} is above the first step {dt} = "
-                          f"min(dt0 = {ctl.dt0}, 0.95 of the stability limit = {stable})")
-    t = 0.0
-    streak = 0
+    dt, stable = first_step(f0.mesh, ctl)
+    f, K, area = f0, f0.mesh.stiffness, f0.mesh.area
+    t, streak = 0.0, 0
     candidates = rejections = halvings = 0
     times, grad_norms, dts = [], [], [0.0]
     increments: list[float] = []  # dE of each accepted step
-    checkpoints: list[tuple[int, np.ndarray]] = []
+    checkpoints: list[tuple[int, MapField]] = []
     kf = K @ f.values
     delta = f0.target.chart_radius()
 
@@ -96,7 +99,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
         grad_norms.append(gn)
         accepted = len(increments)
         if ctl.checkpoint_every > 0 and accepted % ctl.checkpoint_every == 0:
-            checkpoints.append((accepted, f.values.copy()))
+            checkpoints.append((accepted, f))  # each accepted f is a fresh array
 
         if gn <= ctl.grad_tol:
             terminated_by = "grad_norm_below"
@@ -125,7 +128,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
                 dts.append(dt)
                 streak += 1
                 if streak >= GROW_AFTER:
-                    dt = min(dt * GROW_FACTOR, dt_cap)
+                    dt = min(dt * GROW_FACTOR, stable)
                     streak = 0
                 break
             rejections += 1
@@ -140,7 +143,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     dist = np.full(len(times), math.nan)
     k, p = ctl.dist_norm
     dist[[step for step, _ in checkpoints]] = [
-        sobolev_norm(f.mesh, values - f.values, k, p) for _, values in checkpoints
+        sobolev_norm(f.mesh, c.values - f.values, k, p) for _, c in checkpoints
     ]
     return FlowTrace(np.array(times), energies, np.array(grad_norms), dist, np.array(dts),
                      terminated_by, checkpoints, f, candidates, rejections, halvings)

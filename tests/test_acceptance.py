@@ -173,6 +173,17 @@ def test_criterion_07_convergence_dichotomy(constant_basin_trace):
                   f"synthetic exponent {pow_verdict.exponent:.8f}")
 
 
+def test_flow_rate_is_the_explicit_euler_rate(constant_basin_trace):
+    # the slowest mode decays by 1 - lambda_1 dt per step, lambda_1 = 2 on S^2 -> S^2,
+    # and at the stability clamp every step is dt_max
+    trace, _ = constant_basin_trace
+    dt_max = float(trace.dt.max())
+    scheme = -math.log(1.0 - 2.0 * dt_max) / dt_max
+    rate = convergence_classifier(trace).rate
+    report("7 (scheme)", abs(rate - scheme) <= 1e-4,
+           f"flow rate {rate:.7f}, -ln(1 - 2 dt_max)/dt_max {scheme:.7f} at dt_max {dt_max:.4e}")
+
+
 def test_criterion_08_chart_audit(ico3, s2):
     f = identity_sphere_map(ico3, s2)
     delta = s2.tubular_radius()

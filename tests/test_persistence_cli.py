@@ -9,6 +9,7 @@ import pytest
 
 from harmonicflow import (
     FlowControl,
+    MapField,
     constant_map,
     fit_exponent,
     morse_bott_report,
@@ -425,6 +426,48 @@ def test_cli_inadmissible_verify_rejected_before_flow(tmp_path, capsys):
     assert cli_main(["run", path, "--out", str(out)]) == 2
     assert "d = 1 < 2" in capsys.readouterr().err
     assert not (out / "trace.csv").exists()
+
+
+def test_cli_dt_min_checked_before_any_analysis_writes(tmp_path, capsys):
+    # chart-audit runs first, and must not leave chart_report.json behind
+    cfg = BASE_CFG.format(analyses="chart-audit, flow").replace(
+        "dt0 = 1e-5", "dt0 = 1e-3\ndt_min = 0.05")
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "dt_min = 0.05" in capsys.readouterr().err
+    assert not (out / "chart_report.json").exists()
+
+
+def test_cli_flow_checkpoints_written_unchecked(tmp_path, monkeypatch):
+    # the checkpoints are projected candidates: writing them re-checks none
+    cfg = BASE_CFG.format(analyses="flow") + "write_checkpoints = true\n"
+    run = cli_module._Run(parse_config(write_cfg(tmp_path, cfg)), str(tmp_path))
+    checked = []
+    original = type(run.target).require_on_target
+    monkeypatch.setattr(type(run.target), "require_on_target",
+                        lambda self, x: checked.append(1) or original(self, x))
+    run.run_flow()
+    monkeypatch.undo()
+    assert checked == []
+    assert len(run.trace.checkpoints) > 1
+    for step, f in run.trace.checkpoints:
+        # the same bytes as a checked MapField of the same values
+        ref = tmp_path / "ref.json"
+        save_checkpoint(MapField(f.values, run.target, run.mesh), {"step": step}, str(ref))
+        assert (tmp_path / f"checkpoint_{step:06d}.json").read_bytes() == ref.read_bytes()
+
+
+def test_cli_flow_summary_dt_range_reaches_stability_limit(tmp_path, ico3):
+    # on the ico3 basin dt grows from dt0 to 0.95 of 2/lambda_G, lambda_G the
+    # Gershgorin bound of K/area, and no further
+    cfg = BASE_CFG.format(analyses="flow").replace("level = 2", "level = 3").replace(
+        "grad_tol = 1e-8", "grad_tol = 1e-9")
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    summary = json.loads((out / "flow_summary.json").read_text())
+    lam_g = np.max(abs(ico3.stiffness).sum(axis=1).A1 / ico3.area)
+    assert summary["dt_range"] == [1e-5, 0.95 * 2.0 / lam_g]
+    assert summary["terminated_by"] == "grad_norm_below"
 
 
 @pytest.mark.parametrize("analysis,section,keys", [
