@@ -10,7 +10,8 @@ from .checkpoint import load_checkpoint
 from .errors import ConfigError
 from .fields import constant_map, degree_circle_map, identity_sphere_map, perturbed_constant_map
 from .flow import FlowControl
-from .meshes import FLAT_TORUS_SIDE, MESH_KINDS, SOBOLEV_ORDERS, VARIANTS, validate_exponents
+from .meshes import FLAT_TORUS_SIDE, MAX_VERTICES, MESH_KINDS, MIN_GRID_SIDE, SOBOLEV_ORDERS
+from .meshes import VARIANTS, validate_exponents
 from .rng import stream
 from .targets import TARGET_KINDS
 
@@ -24,8 +25,12 @@ def _floats_list(s: str) -> list[float]:
     return [float(x) for x in s.split(",") if x.strip()]
 
 
-def _ints_list(s: str) -> list[int]:
-    return [int(x) for x in s.split(",") if x.strip()]
+def _levels(s: str) -> list[int]:
+    """Mult-probe grid sides: at least one, each n an n x n flat torus build_flat_torus takes."""
+    levels = [int(x) for x in s.split(",") if x.strip()]
+    if not levels or not all(MIN_GRID_SIDE <= n and n * n <= MAX_VERTICES for n in levels):
+        raise ValueError(f"needs one or more sides in {MIN_GRID_SIDE}..{math.isqrt(MAX_VERTICES)}")
+    return levels
 
 
 def _bool(s: str) -> bool:
@@ -178,7 +183,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "p": (_exponent, 2.0),
     },
     "mult_probe": {
-        "levels": (_ints_list, [16, 32, 64]),
+        "levels": (_levels, [16, 32, 64]),
         "k": (_order, 2),
         "p": (_exponent, 2.0),
         "trials": (_positive(int), 8),

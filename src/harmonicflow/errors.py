@@ -33,8 +33,8 @@ class UnsupportedOrder(HarmonicFlowError):
     """Sobolev order k outside the implemented range."""
 
 
-class InvalidExponents(HarmonicFlowError):
-    """Exponent pair (k, p) not admissible for the requested operation."""
+class InadmissibleExponents(HarmonicFlowError):
+    """Exponents (d, k, p) not admissible for the requested norm, probe or inequality."""
 
 
 # -- fields and energy -----------------------------------------------------
@@ -93,7 +93,3 @@ class SpecMismatch(HarmonicFlowError):
 
 class ConfigError(HarmonicFlowError):
     """Scenario configuration failed to parse or validate."""
-
-
-class InadmissibleExponents(HarmonicFlowError):
-    """Scenario requests an inequality with inadmissible (d, k, p)."""

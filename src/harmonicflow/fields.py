@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .meshes import SourceMesh, mode_basis
-from .targets import EmbeddedTarget
+from .meshes import SourceMesh
+from .targets import EmbeddedTarget, UnitSphere
 
 
 def _unchecked(cls, **fields):
@@ -88,28 +88,24 @@ def constant_map(mesh: SourceMesh, target: EmbeddedTarget, point=None) -> MapFie
 
 def identity_sphere_map(mesh: SourceMesh, target: EmbeddedTarget) -> MapField:
     """Identity S^2 -> S^2 on an icosphere mesh."""
-    if mesh.kind != "icosphere" or target.spec() != {"kind": "sphere", "ambient_dim": 3}:
+    if mesh.kind != "icosphere" or target != UnitSphere(3):
         raise ShapeMismatch("identity map needs an icosphere mesh and S^2 target")
     return MapField(mesh.points.copy(), target, mesh)
 
 
 def degree_circle_map(mesh: SourceMesh, target: EmbeddedTarget, k: int) -> MapField:
     """Degree-k map of the circle, theta -> (cos k theta, sin k theta)."""
-    if mesh.kind != "circle" or target.spec() != {"kind": "sphere", "ambient_dim": 2}:
+    if mesh.kind != "circle" or target != UnitSphere(2):
         raise ShapeMismatch("degree map needs a circle mesh and S^1 target")
     t = mesh.points[:, 0]
     return MapField(np.stack([np.cos(k * t), np.sin(k * t)], axis=1), target, mesh)
 
 
-def random_tangent_field(
-    f: MapField, rng: np.random.Generator, amplitude: float = 1.0
-) -> TangentField:
-    """Band-limited ambient field projected to the tangent planes along f."""
-    basis = mode_basis(f.mesh)
-    raw = basis @ rng.standard_normal((basis.shape[1], f.target.ambient_dim))
-    u = TangentField.project(raw, f)
-    u.values *= amplitude
-    return u
+def random_tangent_field(f: MapField, rng: np.random.Generator) -> TangentField:
+    """Ambient field over the mesh's modes projected to the tangent planes along f."""
+    modes = f.mesh.modes
+    raw = modes @ rng.standard_normal((modes.shape[1], f.target.ambient_dim))
+    return TangentField.project(raw, f)
 
 
 def perturbed_constant_map(

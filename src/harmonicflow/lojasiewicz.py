@@ -25,7 +25,7 @@ from .errors import (
 from .fields import MapField, random_tangent_field
 from .flow import FlowControl, FlowTrace
 from .meshes import (
-    ExponentVerdict, SourceMesh, l2_norm, lp_norm, mode_basis, sobolev_norm, validate_exponents,
+    ExponentVerdict, SourceMesh, l2_norm, lp_norm, sobolev_norm, validate_exponents,
 )
 from .rng import stream
 
@@ -94,7 +94,7 @@ def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable[[np.ndarray
         return lambda m: lp_norm(mesh, m, p)
     if k != 1:
         raise UnsupportedOrder(f"gradient norm family implemented for k in (1, 2), got {k}")
-    basis = mode_basis(mesh)
+    basis = mesh.modes
     modes = basis.shape[1]
     coeffs = np.concatenate([
         np.eye(modes * n).reshape(modes * n, modes, n),

@@ -1,8 +1,10 @@
 """Discretized closed source manifolds.
 
-A mesh carries a lumped mass vector ``area`` and a gradient-stencil matrix
-``D`` with row-to-vertex scatter weights; each kind defines these, and the
-stiffness matrix is K = D^T D, formed in one place (``_source_mesh``).  So for
+A mesh carries a lumped mass vector ``area``, a gradient-stencil matrix ``D``
+with row-to-vertex scatter weights, and eight closed-form low modes; each kind
+defines its points, area, D, scatter and modes, and ``_source_mesh`` forms the
+rest in one place: the stiffness matrix K = D^T D, and the modes scaled to unit
+L2 norm as the read-only basis ``SourceMesh.modes``.  So for
 every vertex function f
 
     f^T K f  =  sum_rows |D f|^2  ~  integral of |grad f|^2,
@@ -31,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InvalidExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
+from .errors import InadmissibleExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
 from .rng import stream
 
 __all__ = [
@@ -46,7 +48,6 @@ __all__ = [
     "row_dots",
     "lp_norm",
     "sobolev_norm",
-    "mode_basis",
     "random_scalar_field",
     "validate_exponents",
     "sobolev_multiplication_probe",
@@ -61,6 +62,7 @@ class SourceMesh:
     diff: sp.csr_matrix         # D, (m, V) gradient stencil rows
     diff_scatter: sp.csr_matrix  # (V, m), row weights sum to 1 per row
     spec: dict                  # {"kind": ..., builder arguments}
+    modes: np.ndarray           # (V, 8) closed-form low modes, unit L2 norm, read-only
 
     @property
     def kind(self) -> str:
@@ -82,11 +84,15 @@ class SourceMesh:
 # ---------------------------------------------------------------------------
 # builders
 
-def _source_mesh(points, area, D, scatter, spec) -> SourceMesh:
-    """The mesh with gradient stencil D; its stiffness is K = D^T D."""
+def _source_mesh(points, area, D, scatter, spec, modes) -> SourceMesh:
+    """The mesh with gradient stencil D, stiffness K = D^T D, and the closed-form
+    ``modes`` (continuum eigenfunctions, so the same fields exist on every
+    level) scaled to unit L2 norm; every draw shares them, so they are read-only."""
     K = _zero_row_sums((D.T @ D).tocsr())
+    basis = np.stack([c / math.sqrt(float(np.dot(area, c * c))) for c in modes], axis=1)
+    basis.flags.writeable = False
     return SourceMesh(points=points, area=area, stiffness=K, diff=D, diff_scatter=scatter,
-                      spec=spec)
+                      spec=spec, modes=basis)
 
 
 def _zero_row_sums(K: sp.csr_matrix, sweeps: int = 3) -> sp.csr_matrix:
@@ -100,11 +106,22 @@ def _zero_row_sums(K: sp.csr_matrix, sweeps: int = 3) -> sp.csr_matrix:
     return K.tocsr()
 
 
+MIN_GRID_SIDE = 8  # fewest vertices along a circle or a flat-torus side
+MAX_VERTICES = 163_842  # icosphere level 7: the largest mesh a scenario may build
+
+
+def _require_grid(what: str, *sides: int) -> None:
+    """Raise InvalidSpec, before any allocation, for a side or a grid out of range."""
+    if min(sides) < MIN_GRID_SIDE:
+        raise InvalidSpec(f"{what} needs at least {MIN_GRID_SIDE} vertices per side")
+    if math.prod(sides) > MAX_VERTICES:
+        raise InvalidSpec(f"{what} has {math.prod(sides)} vertices, more than {MAX_VERTICES}")
+
+
 def build_circle(n: int) -> SourceMesh:
     """Uniform n-vertex grid on the unit circle."""
-    if n < 8:
-        raise InvalidSpec("circle needs at least 8 vertices")
     n = int(n)
+    _require_grid("circle", n)
     h = 2.0 * math.pi / n
     theta = h * np.arange(n)
     area = np.full(n, h)
@@ -125,7 +142,9 @@ def build_circle(n: int) -> SourceMesh:
         (np.ones(n), ((idx + 1) % n, idx)), shape=(n, n)
     )
 
-    return _source_mesh(theta[:, None], area, D, scatter, {"kind": "circle", "n": n})
+    modes = [np.ones(n), *(f(k * theta) for k in (1, 2, 3) for f in (np.cos, np.sin)),
+             np.cos(4 * theta)]
+    return _source_mesh(theta[:, None], area, D, scatter, {"kind": "circle", "n": n}, modes)
 
 
 FLAT_TORUS_SIDE = 2.0 * math.pi  # default side length of the flat torus
@@ -133,11 +152,10 @@ FLAT_TORUS_SIDE = 2.0 * math.pi  # default side length of the flat torus
 
 def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = FLAT_TORUS_SIDE) -> SourceMesh:
     """Uniform nu x nv grid on a flat rectangular torus of side lengths lu, lv."""
-    if nu < 8 or nv < 8:
-        raise InvalidSpec("flat torus needs at least an 8 x 8 grid")
+    nu, nv = int(nu), int(nv)
+    _require_grid("flat torus", nu, nv)
     if not (0 < lu < math.inf and 0 < lv < math.inf):
         raise InvalidSpec("flat torus needs finite positive side lengths")
-    nu, nv = int(nu), int(nv)
     hu, hv = lu / nu, lv / nv
     V = nu * nv
     iu, iv = np.divmod(np.arange(V), nv)
@@ -161,7 +179,11 @@ def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = 
 
     D, scatter = _edge_diff(ei, ej, ew, V)
     spec = {"kind": "flat_torus", "nu": nu, "nv": nv, "lu": lu, "lv": lv}
-    return _source_mesh(points, area, D, scatter, spec)
+    u = 2.0 * math.pi * points[:, 0] / lu
+    v = 2.0 * math.pi * points[:, 1] / lv
+    modes = [np.ones(V), np.cos(u), np.sin(u), np.cos(v), np.sin(v),
+             np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u) * np.cos(v)]
+    return _source_mesh(points, area, D, scatter, spec, modes)
 
 
 def _edge_diff(ei, ej, ew, V):
@@ -263,7 +285,9 @@ def build_icosphere(level: int) -> SourceMesh:
         shape=(V, 2 * F),
     )
 
-    return _source_mesh(verts, area, D, scatter, {"kind": "icosphere", "level": level})
+    x, y, z = verts.T
+    modes = [np.ones(V), x, y, z, x * y, y * z, z * x, x * x - y * y]
+    return _source_mesh(verts, area, D, scatter, {"kind": "icosphere", "level": level}, modes)
 
 
 class MeshKind(NamedTuple):
@@ -344,7 +368,7 @@ def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float) -> float:
     if k not in SOBOLEV_ORDERS:
         raise UnsupportedOrder(f"sobolev order k={k} not in {SOBOLEV_ORDERS}")
     if p < 1:
-        raise InvalidExponents(f"p must be >= 1, got {p}")
+        raise InadmissibleExponents(f"p must be >= 1, got {p}")
     f = _check_field(mesh, f)
     comps = f[:, None] if f.ndim == 1 else f
     terms = [comps]
@@ -365,41 +389,9 @@ def lp_norm(mesh: SourceMesh, f: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 # band-limited fields
 
-def mode_basis(mesh: SourceMesh) -> np.ndarray:
-    """Eight low-frequency closed-form modes, unit L2 norm each.
-
-    Closed forms (restrictions of the continuum eigenfunctions) are used so
-    that the same test fields exist on every refinement level.
-    """
-    if mesh.kind == "circle":
-        t = mesh.points[:, 0]
-        cols = [np.ones_like(t)]
-        cols += [f(k * t) for k in (1, 2, 3) for f in (np.cos, np.sin)]
-        cols += [np.cos(4 * t)]
-    elif mesh.kind == "flat_torus":
-        lu, lv = mesh.spec["lu"], mesh.spec["lv"]
-        u = 2.0 * math.pi * mesh.points[:, 0] / lu
-        v = 2.0 * math.pi * mesh.points[:, 1] / lv
-        cols = [
-            np.ones_like(u),
-            np.cos(u), np.sin(u), np.cos(v), np.sin(v),
-            np.cos(u) * np.cos(v), np.cos(u) * np.sin(v), np.sin(u) * np.cos(v),
-        ]
-    elif mesh.kind == "icosphere":
-        x, y, z = mesh.points.T
-        cols = [np.ones_like(x), x, y, z, x * y, y * z, z * x, x * x - y * y]
-    else:
-        raise InvalidSpec(f"no mode basis for mesh kind {mesh.kind!r}")
-    basis = np.stack(cols, axis=1)
-    for j in range(basis.shape[1]):
-        basis[:, j] /= l2_norm(mesh, basis[:, j])
-    return basis
-
-
 def random_scalar_field(mesh: SourceMesh, rng: np.random.Generator) -> np.ndarray:
     """Band-limited random scalar field with unit-variance mode coefficients."""
-    basis = mode_basis(mesh)
-    return basis @ rng.standard_normal(basis.shape[1])
+    return mesh.modes @ rng.standard_normal(mesh.modes.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +465,7 @@ def sobolev_multiplication_probe(
     """
     verdict = validate_exponents(MESH_KINDS["flat_torus"].dimension, k, p, "l2")
     if not verdict.admissible:
-        raise InvalidExponents(f"(k={k}, p={p}) inadmissible: {verdict.reason}")
+        raise InadmissibleExponents(f"(k={k}, p={p}) inadmissible: {verdict.reason}")
     rng = stream(seed, "mult-probe")
     out = []
     for level in levels:

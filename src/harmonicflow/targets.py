@@ -29,7 +29,7 @@ arrays of shape (..., n) with n the ambient dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -125,7 +125,9 @@ class EmbeddedTarget:
         raise NotImplementedError
 
     def spec(self) -> dict:
-        raise NotImplementedError
+        """The spec build_target takes: TARGET_KINDS keys zipped with the dataclass fields."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return {"kind": self.kind, **dict(zip(TARGET_KINDS[self.kind].keys, values))}
 
     # -- closed forms from nu and S -----------------------------------------
 
@@ -256,9 +258,6 @@ class UnitSphere(EmbeddedTarget):
     def _shape(self, y):
         return lambda t: t
 
-    def spec(self) -> dict:
-        return {"kind": "sphere", "ambient_dim": self.ambient_dim}
-
 
 @dataclass(frozen=True)
 class CliffordTorus(EmbeddedTarget):
@@ -309,9 +308,6 @@ class CliffordTorus(EmbeddedTarget):
 
     def _shape(self, y):
         return lambda t: t
-
-    def spec(self) -> dict:
-        return {"kind": "clifford_torus", "m": self.circle_count}
 
 
 @dataclass(frozen=True)
@@ -373,13 +369,10 @@ class TorusOfRevolution(EmbeddedTarget):
 
         return shape
 
-    def spec(self) -> dict:
-        return {"kind": "torus_rev", "R": self.major_radius, "r": self.minor_radius}
-
 
 class TargetKind(NamedTuple):
     cls: type
-    keys: dict[str, type]  # spec key -> type, in constructor argument order
+    keys: dict[str, type]  # spec key -> type, in dataclass field (constructor argument) order
 
 
 TARGET_KINDS = {

@@ -94,10 +94,10 @@ def dual_norm_per_field(mesh, m: np.ndarray, p: float, probes: int = 32) -> floa
     library uses (each mode in each ambient component, then ``probes`` seeded
     mode combinations), with every field built and paired in full.
     """
-    from harmonicflow.meshes import l2_inner, mode_basis, sobolev_norm
+    from harmonicflow.meshes import l2_inner, sobolev_norm
     from harmonicflow.rng import stream
 
-    basis = mode_basis(mesh)
+    basis = mesh.modes
     n = m.shape[1]
     rng = stream(0, "dual-norm")
     tests = []

@@ -15,12 +15,18 @@ from harmonicflow import (
     sobolev_norm,
 )
 from harmonicflow.errors import (
-    InvalidExponents,
+    InadmissibleExponents,
     InvalidSpec,
     ShapeMismatch,
     UnsupportedOrder,
 )
-from harmonicflow.meshes import l2_norm, mode_basis, random_scalar_field, row_dots
+from harmonicflow.meshes import (
+    MAX_VERTICES,
+    MESH_KINDS,
+    l2_norm,
+    random_scalar_field,
+    row_dots,
+)
 from harmonicflow.rng import stream
 
 from oracles import cartesian_icosphere_stencil, reference_stiffness
@@ -64,6 +70,12 @@ def test_invalid_mesh_specs():
         build_flat_torus(16, 16, math.inf, 1.0)
     with pytest.raises(InvalidSpec):
         build_icosphere(9)
+    # above the bound, icosphere level 7's 10 * 4^7 + 2 vertices
+    assert MAX_VERTICES == 10 * 4**7 + 2
+    with pytest.raises(InvalidSpec):
+        build_circle(163_843)
+    with pytest.raises(InvalidSpec):
+        build_flat_torus(405, 405)
 
 
 def test_stiffness_kernel_contains_constants(circle256, torus16, ico3):
@@ -248,7 +260,7 @@ def test_sobolev_norm_zero_monotone_and_lp(ico2):
     assert lp_norm(ico2, f, 2) == n0  # k = 0 path is the plain L^p norm
     with pytest.raises(UnsupportedOrder):
         sobolev_norm(ico2, f, 3, 2)
-    with pytest.raises(InvalidExponents):
+    with pytest.raises(InadmissibleExponents):
         sobolev_norm(ico2, f, 1, 0.5)
 
 
@@ -284,16 +296,27 @@ def test_probe_levels_stay_in_band():
 
 
 def test_probe_rejects_bad_exponents():
-    with pytest.raises(InvalidExponents):
+    with pytest.raises(InadmissibleExponents):
         sobolev_multiplication_probe([16], 1, 1.5, trials=2)
 
 
 def test_mode_basis_unit_norm(circle256, torus16, ico2):
     for mesh in (circle256, torus16, ico2):
-        basis = mode_basis(mesh)
+        basis = mesh.modes
         assert basis.shape == (mesh.vertex_count, 8)
         for j in range(8):
             assert l2_norm(mesh, basis[:, j]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_mode_basis_is_read_only(circle256, torus16, ico2):
+    # every draw reads the one basis: an in-place edit would change all later draws
+    meshes = (circle256, torus16, ico2)
+    assert {mesh.kind for mesh in meshes} == set(MESH_KINDS)
+    for mesh in meshes:
+        with pytest.raises(ValueError):
+            mesh.modes[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            mesh.modes[:, 1] *= 2.0
 
 
 # ---------------------------------------------------------------------------

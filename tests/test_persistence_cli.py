@@ -516,11 +516,30 @@ def test_cli_flow_summary_dt_range_reaches_stability_limit(tmp_path, ico3):
     # inf times a zero component of the perturbation is NaN
     *(pytest.param("flow", "initial_map", {"amplitude": bad, "kind": "perturbed_constant"},
                    id=f"amplitude-{bad}") for bad in ("nan", "inf", "-0.1")),
+    # a probe level must be an n x n flat torus the builder accepts
+    pytest.param("mult-probe", "mult_probe", {"levels": "4"}, id="levels-4"),
+    pytest.param("mult-probe", "mult_probe", {"levels": ""}, id="levels-empty"),
 ])
 def test_cli_bad_config_value_exit_2(tmp_path, capsys, analysis, section, keys):
     path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": analysis}, **{section: keys})
     assert cli_main(["run", path, "--out", str(tmp_path / "out")]) == 2
     assert f"[{section}] {next(iter(keys))}" in capsys.readouterr().err
+
+
+def test_cli_bad_probe_levels_rejected_before_any_analysis(tmp_path):
+    # chart-audit runs first: a level checked only when the probe builds its mesh
+    # would leave chart_report.json behind
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "chart-audit, mult-probe"},
+                       mult_probe={"levels": 4})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert not (out / "chart_report.json").exists()
+
+
+def test_probe_levels_above_the_vertex_bound_rejected_at_parse(tmp_path):
+    path = minimal_cfg(tmp_path, mult_probe={"levels": "16, 405"})
+    with pytest.raises(ConfigError, match=r"\[mult_probe\] levels"):
+        parse_config(path)
 
 
 def test_cli_verify_default_p_is_admissible(tmp_path):
