@@ -37,7 +37,6 @@ from .energy import (  # noqa: F401
     HessianSpectrum,
     energy,
     grad_l2_norm,
-    hessian_apply,
     hessian_matrix,
     hessian_spectrum,
     tension,

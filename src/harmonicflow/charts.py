@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ChartRadiusExceeded
-from .fields import MapField, TangentField, map_sup_distance, random_tangent_field
+from .fields import MapField, TangentField, random_tangent_field
 from .meshes import sobolev_norm
 from .rng import stream
 
@@ -25,7 +25,7 @@ def chart_push(f: MapField, u: TangentField) -> MapField:
 def chart_pull(f: MapField, f1: MapField) -> TangentField:
     """Tangent u with pi(f + u) = f1, vertex by vertex in closed form: the point
     of the normal segment through f1 that lies in f + T_f N (targets.py)."""
-    if map_sup_distance(f, f1) >= f.target.chart_radius():
+    if np.max(np.linalg.norm(f.values - f1.values, axis=1)) >= f.target.chart_radius():
         raise ChartRadiusExceeded("maps too far apart to share a chart")
     return TangentField(f.target.chart_inverse(f.values, f1.values), f)
 

@@ -135,6 +135,7 @@ class _Run:
                 "energy_rejections": tr.energy_rejections,
                 "radius_halvings": tr.radius_halvings,
                 "dt_range": [float(tr.dt[1:].min()), float(tr.dt[1:].max())] if steps else None,
+                "dt_stable": tr.dt_stable,
             },
             self.record("flow_summary.json"),
         )

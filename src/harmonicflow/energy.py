@@ -14,8 +14,8 @@ bilinear form in per-vertex orthonormal tangent frames B (V blocks n x dN):
 
     F = B^T K B + diag_x( a_x < d2pi(f)(e_i, e_j), Delta f > ),
 
-symmetric by the symmetry of d2pi.  ``hessian_apply`` is its lift to ambient
-tangent fields, H(f) v = B (F (B^T v)) / mass.
+symmetric by the symmetry of d2pi; its lift to ambient tangent fields is
+H(f) v = B (F (B^T v)) / mass.
 """
 
 from __future__ import annotations
@@ -28,13 +28,12 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure
 from .fields import MapField, TangentField
-from .meshes import l2_norm, laplace_beltrami_apply
+from .meshes import _largest_eigenvalue, l2_norm, laplace_beltrami_apply
 from .targets import EmbeddedTarget
 
 __all__ = [
     "energy",
     "tension",
-    "hessian_apply",
     "hessian_matrix",
     "hessian_spectrum",
     "tangent_frames",
@@ -156,15 +155,6 @@ class HessianSpectrum:
 DENSE_EIG_LIMIT = 3000
 
 
-def _largest_eigenvalue(A: sp.spmatrix) -> float:
-    try:
-        v0 = np.cos(0.7 * np.arange(A.shape[0]))  # fixed deterministic start
-        val = spla.eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)
-        return float(val[0])
-    except Exception as exc:  # pragma: no cover - arpack failure is exotic
-        raise EigensolveFailure(str(exc)) from exc
-
-
 def hessian_spectrum(
     op: HessianOperator,
     kernel_tol: float | None = None,
@@ -214,11 +204,3 @@ def hessian_spectrum(
         index=int(np.sum(vals < -kernel_tol)),
         partial=partial,
     )
-
-
-def hessian_apply(f: MapField, v: TangentField) -> TangentField:
-    """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
-    B = _block_diagonal(tangent_frames(f.target, f.values))
-    op = hessian_matrix(f)
-    hv = B @ ((op.form @ (B.T @ v.values.ravel())) / op.mass)
-    return TangentField(hv.reshape(v.values.shape), f)

@@ -121,7 +121,3 @@ def perturbed_constant_map(
     sup = u.linf()
     scale = amplitude / sup if sup > 0 else 0.0
     return MapField.project(f0.values + scale * u.values, target, mesh)
-
-
-def map_sup_distance(f: MapField, g: MapField) -> float:
-    return float(np.max(np.linalg.norm(f.values - g.values, axis=1)))

@@ -7,10 +7,11 @@ dE = 1/2 (c - f).(K f + K c), exact for the quadratic energy, is at most
 candidate costs one sparse product.  dt is also halved while dt |M|_inf
 reaches the chart radius; the flow ends with ``step_collapse`` once dt falls
 below dt_min.  The first step is min(dt0, stable), stable = 0.95 of the
-stability limit 2/lambda_G, lambda_G the Gershgorin bound of K/area: beyond
-it the slack lets steps that no longer converge pass.  Five consecutive
-acceptances grow dt by 1.25x up to stable; radius halvings keep the streak.
-A first step below dt_min is a configuration error.
+explicit stability limit 2/lambda_max, lambda_max = mesh.spectral_radius the
+largest eigenvalue of K/area: beyond it the slack lets steps that no longer
+converge pass.  Five consecutive acceptances grow dt by 1.25x up to stable;
+radius halvings keep the streak.  A first step below dt_min is a
+configuration error.
 
 The trace is trace.csv's five columns, built once after the loop.  Its
 energies are back-filled from one D-sum at the final map, E_n = E_{n+1} - dE_n,
@@ -34,7 +35,7 @@ __all__ = ["FlowControl", "FlowTrace", "first_step", "run_flow", "dissipation_ch
 ENERGY_SLACK = 1e-12
 GROW_FACTOR = 1.25
 GROW_AFTER = 5
-STABLE_FRACTION = 0.95  # of the explicit stability limit 2/lambda_G
+STABLE_FRACTION = 0.95  # of the explicit stability limit 2/lambda_max(K/area)
 
 
 @dataclass
@@ -63,14 +64,12 @@ class FlowTrace:
     candidates: int = 0
     energy_rejections: int = 0
     radius_halvings: int = 0
+    dt_stable: float = math.nan  # the clamp dt grows up to
 
 
 def first_step(mesh, control: FlowControl) -> tuple[float, float]:
     """(min(dt0, stable), stable); a first step below dt_min is a ConfigError."""
-    K = mesh.stiffness
-    # Gershgorin: lambda_max(K/area) <= lambda_G = max_i sum_j |K_ij| / area_i
-    lam_g = float(np.max(np.add.reduceat(np.abs(K.data), K.indptr[:-1]) / mesh.area))
-    stable = STABLE_FRACTION * 2.0 / lam_g
+    stable = STABLE_FRACTION * 2.0 / mesh.spectral_radius
     dt = min(control.dt0, stable)
     if not dt >= control.dt_min:  # NaN and non-positive dt0 fail too
         raise ConfigError(f"[flow] dt_min = {control.dt_min} is above the first step {dt} = "
@@ -146,7 +145,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
         sobolev_norm(f.mesh, c.values - f.values, k, p) for _, c in checkpoints
     ]
     return FlowTrace(np.array(times), energies, np.array(grad_norms), dist, np.array(dts),
-                     terminated_by, checkpoints, f, candidates, rejections, halvings)
+                     terminated_by, checkpoints, f, candidates, rejections, halvings, stable)
 
 
 def dissipation_check(trace: FlowTrace) -> float:

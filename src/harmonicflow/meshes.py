@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import InadmissibleExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
+from .errors import EigensolveFailure, InadmissibleExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
 from .rng import stream
 
 __all__ = [
@@ -79,6 +81,22 @@ class SourceMesh:
     @property
     def total_area(self) -> float:
         return float(np.sum(self.area))
+
+    @cached_property
+    def spectral_radius(self) -> float:
+        """lambda_max of K/area, from one Lanczos solve on diag(s) K diag(s),
+        s = area^(-1/2), at first use."""
+        s = sp.diags(1.0 / np.sqrt(self.area))
+        return _largest_eigenvalue(s @ self.stiffness @ s)
+
+
+def _largest_eigenvalue(A: sp.spmatrix) -> float:
+    try:
+        v0 = np.cos(0.7 * np.arange(A.shape[0]))  # fixed deterministic start
+        val = spla.eigsh(A, k=1, which="LA", v0=v0, return_eigenvectors=False)
+        return float(val[0])
+    except Exception as exc:  # pragma: no cover - arpack failure is exotic
+        raise EigensolveFailure(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

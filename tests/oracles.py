@@ -5,7 +5,8 @@ against brute-force minimization, derivatives against central finite
 differences, and energies against analytic integrals.  The file also holds
 reference derivations the package defines only once: the tension through the
 second fundamental form, the Hessian action contracted from d2pi directly,
-and the stiffness matrices from their stencil weights.
+and the stiffness matrices from their stencil weights; and the Hessian action
+as the assembled form lifted to ambient fields, which only tests apply.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from harmonicflow import MapField, TangentField, energy, tension
+from harmonicflow import MapField, TangentField, energy, hessian_matrix, tension
+from harmonicflow.energy import _block_diagonal, tangent_frames
 from harmonicflow.errors import ChartRadiusExceeded
 from harmonicflow.meshes import l2_inner, laplace_beltrami_apply
 
@@ -260,6 +263,14 @@ def gradient_pairing_check(f, u, h_step: float) -> float:
     return abs(fd - l2_inner(mesh, u.values, tension(f).values))
 
 
+def hessian_apply(f, v):
+    """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
+    B = _block_diagonal(tangent_frames(f.target, f.values))
+    op = hessian_matrix(f)
+    hv = B @ ((op.form @ (B.T @ v.values.ravel())) / op.mass)
+    return TangentField(hv.reshape(v.values.shape), f)
+
+
 def reference_hessian_apply(f, v):
     """H(f) v = dpi(f) Delta v + tangent representative of <d2pi(f)(v, .), Delta f>,
     contracted per ambient direction, without tangent frames or the assembled form."""
@@ -274,3 +285,10 @@ def reference_hessian_apply(f, v):
         )
         g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
     return TangentField.project(lap_v + g, f)
+
+
+def dense_laplacian_spectrum(mesh, subset=None):
+    """Eigenvalues of K x = lambda diag(area) x, ascending, from a dense generalized
+    solve; ``subset`` is an index range [lo, hi] into them."""
+    return scipy.linalg.eigh(mesh.stiffness.toarray(), np.diag(mesh.area),
+                             eigvals_only=True, subset_by_index=subset)

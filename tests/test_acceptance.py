@@ -6,6 +6,7 @@ per criterion; each test also prints its measured numbers).
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from harmonicflow import (
     energy,
     fit_exponent,
     grad_l2_norm,
-    hessian_apply,
     hessian_matrix,
     hessian_spectrum,
     identity_sphere_map,
@@ -40,7 +40,7 @@ from harmonicflow.cli import main as cli_main
 from harmonicflow.meshes import l2_inner, l2_norm
 from harmonicflow.rng import stream
 
-from oracles import gradient_pairing_check, tension_via_sff
+from oracles import dense_laplacian_spectrum, gradient_pairing_check, hessian_apply, tension_via_sff
 from test_lojasiewicz import columns_trace, hand_table
 
 
@@ -182,6 +182,27 @@ def test_flow_rate_is_the_explicit_euler_rate(constant_basin_trace):
     rate = convergence_classifier(trace).rate
     report("7 (scheme)", abs(rate - scheme) <= 1e-4,
            f"flow rate {rate:.7f}, -ln(1 - 2 dt_max)/dt_max {scheme:.7f} at dt_max {dt_max:.4e}")
+
+
+BASIN_CFG = Path(__file__).parent.parent / "configs" / "constant_basin_s2.cfg"
+
+
+def test_basin_rate_is_the_explicit_euler_rate_at_the_stability_clamp(tmp_path, ico3):
+    # constant_basin_s2.cfg steps at dt = 0.95 * 2/lambda_max, and its slowest
+    # mode decays by 1 - lambda_1 dt per step: rate -ln(1 - lambda_1 dt)/dt
+    out = tmp_path / "out"
+    assert cli_main(["run", str(BASIN_CFG), "--out", str(out)]) == 0
+    spectrum = dense_laplacian_spectrum(ico3)
+    dt, lam_1 = 0.95 * 2.0 / spectrum[-1], spectrum[1]
+    summary = json.loads((out / "flow_summary.json").read_text())
+    rate = json.loads((out / "loja_fit.json").read_text())["convergence"]["rate"]
+    scheme = -math.log(1.0 - lam_1 * dt) / dt
+    ok = (summary["dt_stable"] == pytest.approx(dt, rel=1e-12)
+          and summary["dt_range"][1] == summary["dt_stable"]
+          and abs(rate - scheme) <= 1e-6)
+    report("7 (scheme, sharp clamp)", ok,
+           f"rate {rate:.10f}, -ln(1 - lambda_1 dt)/dt {scheme:.10f} at dt {dt:.4e}, "
+           f"lambda_1 {lam_1:.7f}, dt_stable {summary['dt_stable']:.4e}")
 
 
 def test_criterion_08_chart_audit(ico3, s2):

@@ -15,7 +15,6 @@ from harmonicflow import (
     degree_circle_map,
     energy,
     grad_l2_norm,
-    hessian_apply,
     hessian_matrix,
     hessian_spectrum,
     identity_sphere_map,
@@ -27,7 +26,7 @@ from harmonicflow.errors import NonTangentInput, NotOnTarget
 from harmonicflow.meshes import l2_inner, l2_norm, random_scalar_field
 from harmonicflow.rng import stream
 
-from oracles import gradient_pairing_check, reference_hessian_apply, tension_via_sff
+from oracles import gradient_pairing_check, hessian_apply, reference_hessian_apply, tension_via_sff
 
 
 def near_identity_map(mesh, s2, amplitude=0.2, seed=7):

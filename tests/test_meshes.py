@@ -29,7 +29,7 @@ from harmonicflow.meshes import (
 )
 from harmonicflow.rng import stream
 
-from oracles import cartesian_icosphere_stencil, reference_stiffness
+from oracles import cartesian_icosphere_stencil, dense_laplacian_spectrum, reference_stiffness
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,23 @@ def test_circle_first_nonzero_eigenvalue_converges():
         A = mesh.stiffness.toarray() * np.outer(s, s)
         vals = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert abs(vals[1] - 1.0) <= 4.0 / n**2
+
+
+@pytest.mark.parametrize("spec", [
+    *(pytest.param({"kind": "circle", "n": n}, id=f"circle{n}") for n in (8, 64, 256)),
+    pytest.param({"kind": "flat_torus", "nu": 8, "nv": 8}, id="torus8"),
+    pytest.param({"kind": "flat_torus", "nu": 16, "nv": 16}, id="torus16"),
+    pytest.param({"kind": "flat_torus", "nu": 8, "nv": 12, "lu": 1.0, "lv": 3.0}, id="torus8x12"),
+    *(pytest.param({"kind": "icosphere", "level": L}, id=f"ico{L}") for L in range(5)),
+])
+def test_spectral_radius_is_the_dense_largest_eigenvalue(spec):
+    mesh = build_source(spec)
+    V = mesh.vertex_count
+    lam_max = dense_laplacian_spectrum(mesh, subset=[V - 1, V - 1])[0]
+    assert mesh.spectral_radius == pytest.approx(lam_max, rel=1e-12)
+    # the Gershgorin bound, attained in exact arithmetic on the circle and flat torus
+    lam_g = np.max(abs(mesh.stiffness).sum(axis=1).A1 / mesh.area)
+    assert mesh.spectral_radius <= lam_g * (1.0 + 4 * np.finfo(float).eps)
 
 
 def test_constant_field_in_kernel(ico3):

@@ -25,6 +25,7 @@ from harmonicflow.checkpoint import (
 )
 import harmonicflow.cli as cli_module
 import harmonicflow.lojasiewicz as loja_module
+import harmonicflow.meshes as meshes_module
 from harmonicflow.cli import main as cli_main
 from harmonicflow.config import (
     flow_control_from_config,
@@ -47,7 +48,7 @@ from harmonicflow.rng import stream
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import json_checkpoint_text
+from oracles import dense_laplacian_spectrum, json_checkpoint_text
 from test_flow import rough_map
 
 
@@ -458,16 +459,34 @@ def test_cli_flow_checkpoints_written_unchecked(tmp_path, monkeypatch):
 
 
 def test_cli_flow_summary_dt_range_reaches_stability_limit(tmp_path, ico3):
-    # on the ico3 basin dt grows from dt0 to 0.95 of 2/lambda_G, lambda_G the
-    # Gershgorin bound of K/area, and no further
+    # on the ico3 basin dt grows from dt0 to 0.95 of 2/lambda_max, lambda_max the
+    # largest eigenvalue of K/area, and no further; that is 1.48x the step the
+    # Gershgorin bound lambda_G of K/area allows
     cfg = BASE_CFG.format(analyses="flow").replace("level = 2", "level = 3").replace(
         "grad_tol = 1e-8", "grad_tol = 1e-9")
     out = tmp_path / "out"
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "flow_summary.json").read_text())
+    lam_max = dense_laplacian_spectrum(ico3)[-1]
     lam_g = np.max(abs(ico3.stiffness).sum(axis=1).A1 / ico3.area)
-    assert summary["dt_range"] == [1e-5, 0.95 * 2.0 / lam_g]
+    assert summary["dt_range"][0] == 1e-5
+    assert summary["dt_range"][1] == pytest.approx(0.95 * 2.0 / lam_max, rel=1e-12)
+    assert summary["dt_range"][1] >= 1.4 * 0.95 * 2.0 / lam_g
+    assert summary["dt_stable"] == summary["dt_range"][1]
     assert summary["terminated_by"] == "grad_norm_below"
+
+
+def test_cli_flow_and_fit_solve_for_the_spectral_radius_once(tmp_path, monkeypatch):
+    # the dt_min pre-check and the flow read one cached lambda_max
+    solves = []
+    original = meshes_module._largest_eigenvalue
+    monkeypatch.setattr(meshes_module, "_largest_eigenvalue",
+                        lambda A: solves.append(1) or original(A))
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, BASE_CFG.format(analyses="flow, loja-fit"))
+    assert cli_main(["run", cfg, "--out", str(out)]) == 0
+    assert (out / "loja_fit.json").exists()
+    assert solves == [1]
 
 
 @pytest.mark.parametrize("analysis,section,keys", [
