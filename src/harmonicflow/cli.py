@@ -155,6 +155,9 @@ class _Run:
     def run_hessian_spec(self):
         hs = self.scn.hessian
         f_inf = self.limit_map()
+        expected = hs["expected_critical_dim"]
+        if expected is not None:  # before the spectrum: a non-critical map writes nothing
+            loja.require_critical(f_inf, self.scn.flow["grad_tol"])
         op = hessian_matrix(f_inf)
         spec = hessian_spectrum(
             op, kernel_tol=hs["kernel_tol"], n_modes=hs["n_modes"]
@@ -162,9 +165,8 @@ class _Run:
         payload = spec.to_json_dict()
         payload["asymmetry_rel"] = op.asymmetry_rel
         write_json(payload, self.record("hessian_spectrum.json"))
-        if hs["expected_critical_dim"] is not None:
-            loja.require_critical(f_inf, self.scn.flow["grad_tol"])
-            report = loja.classify_morse_bott(spec, hs["expected_critical_dim"])
+        if expected is not None:
+            report = loja.classify_morse_bott(spec, expected)
             write_json(report.to_json_dict(), self.record("morse_bott.json"))
 
     def verify_verdict(self) -> loja.ExponentVerdict:

@@ -15,7 +15,9 @@ bilinear form in per-vertex orthonormal tangent frames B (V blocks n x dN):
     F = B^T K B + diag_x( a_x < d2pi(f)(e_i, e_j), Delta f > ),
 
 symmetric by the symmetry of d2pi; its lift to ambient tangent fields is
-H(f) v = B (F (B^T v)) / mass.
+H(f) v = B (F (B^T v)) / mass.  ``hessian_spectrum`` diagonalizes
+M^{-1/2} F M^{-1/2} densely up to DENSE_EIG_LIMIT unknowns; above, by
+shift-invert Lanczos on one sparse LU factor in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure
 from .fields import MapField, TangentField
-from .meshes import _largest_eigenvalue, l2_norm, laplace_beltrami_apply
+from .meshes import SourceMesh, _largest_eigenvalue, l2_norm, laplace_beltrami_apply
 from .targets import EmbeddedTarget
 
 __all__ = [
@@ -92,13 +94,15 @@ def tangent_frames(target: EmbeddedTarget, values: np.ndarray) -> np.ndarray:
 class HessianOperator:
     """Discrete Hessian in per-vertex tangent frames.
 
-    ``form`` is the symmetrized mass-weighted bilinear form matrix; the
-    operator in the mass inner product is diag(1/mass) @ form.
+    ``form`` is the symmetrized mass-weighted bilinear form matrix, in dN x dN
+    blocks on the vertex graph of ``mesh``; the operator in the mass inner
+    product is diag(1/mass) @ form.
     """
 
     form: sp.csr_matrix
     mass: np.ndarray
     asymmetry_rel: float
+    mesh: SourceMesh
 
 
 def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
@@ -135,7 +139,7 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     asym = float(spla.norm(anti) / denom) if denom > 0 else 0.0
     F = ((F + F.T) * 0.5).tocsr()
     mass = np.repeat(f.mesh.area, dN)
-    return HessianOperator(F, mass, asym)
+    return HessianOperator(F, mass, asym, f.mesh)
 
 
 @dataclass
@@ -163,7 +167,9 @@ def hessian_spectrum(
     """Eigenvalues (ascending) with a gap-aware kernel count.
 
     Dense solve below DENSE_EIG_LIMIT unknowns, shift-invert around zero
-    above; kernel_tol defaults to 1e-6 times the largest eigenvalue.  The
+    above: ARPACK runs on the solves of one LU factor of A - sigma I, its rows
+    and columns in the mesh's ``dissection_order`` (each vertex's dN unknowns
+    together).  kernel_tol defaults to 1e-6 times the largest eigenvalue.  The
     index counts the (computed) eigenvalues below -kernel_tol.
     """
     dim = op.form.shape[0]
@@ -180,10 +186,16 @@ def hessian_spectrum(
         k = min(n_modes, dim - 2)
         lam_max = _largest_eigenvalue(A)
         sigma = -1e-6 * max(lam_max, 1.0)
+        dN = dim // op.mesh.vertex_count
+        p = (op.mesh.dissection_order[:, None] * dN + np.arange(dN)).ravel()
+        inv = np.argsort(p)  # y = z[inv] solves y[p] = z
         try:
+            # SuperLU's default threshold pivoting stays on: A is indefinite at saddles
+            lu = spla.splu((A - sigma * sp.identity(dim))[p][:, p].tocsc(), permc_spec="NATURAL")
             v0 = np.sin(1.3 * np.arange(dim)) + 0.5
             vals = spla.eigsh(
-                A.tocsc(), k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False
+                A, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+                OPinv=spla.LinearOperator((dim, dim), lambda x: lu.solve(x[p])[inv], dtype=float),
             )
         except Exception as exc:
             raise EigensolveFailure(str(exc)) from exc

@@ -58,6 +58,9 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class SourceMesh:
+    """A closed source mesh; its stiffness spectral radius and nested-dissection
+    vertex order (for sparse factors of operators on its graph) are lazy."""
+
     points: np.ndarray          # parameter/embedding coords per vertex
     area: np.ndarray            # lumped mass per vertex, (V,)
     stiffness: sp.csr_matrix    # K = D^T D, bitwise symmetric, K 1 = 0 to rounding
@@ -88,6 +91,32 @@ class SourceMesh:
         s = area^(-1/2), at first use."""
         s = sp.diags(1.0 / np.sqrt(self.area))
         return _largest_eigenvalue(s @ self.stiffness @ s)
+
+    @cached_property
+    def dissection_order(self) -> np.ndarray:
+        """Nested-dissection order of K's vertex graph (A. George, 1973), at first
+        use: a piece splits at the median of its widest coordinate, and its lower
+        half's vertices with upper-half neighbours (wrap-around too) go last."""
+        G = abs(self.stiffness)  # explicit zeros are no edges
+        upper = np.zeros(self.vertex_count)
+        order: list[np.ndarray] = []
+
+        def dissect(piece: np.ndarray) -> None:
+            if piece.size <= 64:
+                order.append(piece)
+                return
+            pts = self.points[piece]
+            ranked = piece[np.argsort(pts[:, np.argmax(np.ptp(pts, axis=0))], kind="stable")]
+            lo, hi = ranked[: piece.size // 2], ranked[piece.size // 2:]
+            upper[hi] = 1.0
+            cut = G[lo] @ upper > 0
+            upper[hi] = 0.0
+            dissect(lo[~cut])
+            dissect(hi)
+            order.append(lo[cut])
+
+        dissect(np.arange(self.vertex_count))
+        return np.concatenate(order)
 
 
 def _largest_eigenvalue(A: sp.spmatrix) -> float:
@@ -249,24 +278,20 @@ def build_icosphere(level: int) -> SourceMesh:
         raise InvalidSpec("icosphere level must be in 0..7")
     level = int(level)
     verts, faces = _icosahedron()
-    vlist = [v for v in verts]
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            if key not in midpoint:
-                p = vlist[a] + vlist[b]
-                vlist.append(p / np.linalg.norm(p))
-                midpoint[key] = len(vlist) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for (a, b, c) in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        faces = np.array(new_faces, dtype=np.int64)
-    verts = np.array(vlist)
+        # edges ab, bc, ca of each face; a midpoint is numbered at its first face
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        keys = np.min(edges, axis=1) * len(verts) + np.max(edges, axis=1)
+        _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+        rank = np.argsort(np.argsort(first))
+        mids = edges[np.sort(first)]
+        p = verts[mids[:, 0]] + verts[mids[:, 1]]
+        # |p| as a dot product: the sum np.linalg.norm forms for one vector
+        p /= np.sqrt(np.matmul(p[:, None, :], p[:, :, None]))[:, 0]
+        ab, bc, ca = (len(verts) + rank[which]).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca], axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, p])
     V = verts.shape[0]
     F = faces.shape[0]
 

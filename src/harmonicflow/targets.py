@@ -204,18 +204,6 @@ class EmbeddedTarget:
         self.require_on_target(y)
         return self._d2_projection(y, np.asarray(v, float), np.asarray(w, float))
 
-    def second_fundamental_form(
-        self, y: np.ndarray, v: np.ndarray, w: np.ndarray
-    ) -> np.ndarray:
-        """A(y)(v, w) = -d2pi(y)(v, w); normal-valued for tangent v, w."""
-        y = np.asarray(y, dtype=float)
-        v = np.asarray(v, dtype=float)
-        w = np.asarray(w, dtype=float)
-        self.require_on_target(y)
-        self.require_tangent(y, v)
-        self.require_tangent(y, w)
-        return -self._d2_projection(y, v, w)
-
 
 @dataclass(frozen=True)
 class UnitSphere(EmbeddedTarget):

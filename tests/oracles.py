@@ -5,8 +5,10 @@ against brute-force minimization, derivatives against central finite
 differences, and energies against analytic integrals.  The file also holds
 reference derivations the package defines only once: the tension through the
 second fundamental form, the Hessian action contracted from d2pi directly,
-and the stiffness matrices from their stencil weights; and the Hessian action
-as the assembled form lifted to ambient fields, which only tests apply.
+and the stiffness matrices from their stencil weights; and what only tests
+apply: the Hessian action as the assembled form lifted to ambient fields, the
+second fundamental form, and the icosphere subdivided by the per-face loop
+that the vectorized ``build_icosphere`` must match bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import scipy.sparse as sp
 from harmonicflow import MapField, TangentField, energy, hessian_matrix, tension
 from harmonicflow.energy import _block_diagonal, tangent_frames
 from harmonicflow.errors import ChartRadiusExceeded
-from harmonicflow.meshes import l2_inner, laplace_beltrami_apply
+from harmonicflow.meshes import _icosahedron, l2_inner, laplace_beltrami_apply
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -160,6 +162,30 @@ def cartesian_icosphere_stencil(mesh):
     return D, scatter
 
 
+def loop_icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """Icosphere vertices and faces, subdivided one face at a time: each edge's
+    midpoint is appended, normalized, when the first face names it."""
+    verts, faces = _icosahedron()
+    vlist = list(verts)
+    for _ in range(level):
+        midpoint: dict[tuple[int, int], int] = {}
+
+        def mid(a: int, b: int) -> int:
+            key = (a, b) if a < b else (b, a)
+            if key not in midpoint:
+                p = vlist[a] + vlist[b]
+                vlist.append(p / np.linalg.norm(p))
+                midpoint[key] = len(vlist) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for (a, b, c) in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+        faces = np.array(new_faces, dtype=np.int64)
+    return np.array(vlist), faces
+
+
 def icosphere_faces(mesh) -> np.ndarray:
     """The faces of an icosphere: the corner triples the mesh scatters each of
     its D rows to, two rows per face.  Corner order does not matter, as the
@@ -216,6 +242,14 @@ def reference_stiffness(mesh) -> sp.csr_matrix:
                            mesh.vertex_count)
 
 
+def second_fundamental_form(target, y, v, w) -> np.ndarray:
+    """A(y)(v, w) = -d2pi(y)(v, w); normal-valued for tangent v, w.  Raises
+    NonTangentInput unless v and w are tangent at y."""
+    target.require_tangent(y, v)
+    target.require_tangent(y, w)
+    return -target.ambient_hessian_of_projection(y, v, w)
+
+
 def _sff_contraction(f) -> np.ndarray:
     """A(f)(df, df) contracted over the discrete metric.
 
@@ -230,7 +264,7 @@ def _sff_contraction(f) -> np.ndarray:
     d = f.values[cols] - f.values[rows]
     base = f.values[rows]
     td = f.target.tangent_project(base, d)
-    a_vals = f.target.second_fundamental_form(base, td, td)
+    a_vals = second_fundamental_form(f.target, base, td, td)
     out = np.zeros_like(f.values)
     np.add.at(out, rows, 0.5 * w[:, None] * a_vals)
     return out / f.mesh.area[:, None]

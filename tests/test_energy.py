@@ -1,7 +1,10 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from harmonicflow import (
     CliffordTorus,
@@ -337,3 +340,41 @@ def test_hessian_spectrum_gap_and_index_with_negative_modes():
     assert spec.index == 3
     assert spec.gap_ratio == pytest.approx(1.702, abs=1e-3)
 
+
+# map builder of each case the sparse spectrum is checked against the dense one
+SPARSE_SPECTRUM_CASES = {
+    "ico3-identity": lambda mesh: identity_sphere_map(mesh, UnitSphere(3)),  # index 3
+    "ico3-torus_rev-constant": lambda mesh: constant_map(mesh, TorusOfRevolution(2.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(SPARSE_SPECTRUM_CASES))
+def test_sparse_spectrum_matches_dense(ico3, monkeypatch, case):
+    # the dissection-ordered shift-invert, forced below its size limit, against
+    # dense eigvalsh: the eigenvalues nearest zero, the kernel and the index
+    op = hessian_matrix(SPARSE_SPECTRUM_CASES[case](ico3))
+    dense = hessian_spectrum(op)
+    # the package exports the function ``energy`` under the module's name
+    energy_module = importlib.import_module("harmonicflow.energy")
+    monkeypatch.setattr(energy_module, "DENSE_EIG_LIMIT", op.form.shape[0] - 1)
+    sparse = hessian_spectrum(op)
+    assert sparse.partial and not dense.partial
+    vals = np.array(sparse.eigenvalues)
+    nearest = np.sort(sorted(dense.eigenvalues, key=abs)[: vals.size])
+    assert np.max(np.abs(vals - nearest)) <= 1e-9
+    assert (sparse.kernel_dim, sparse.index) == (dense.kernel_dim, dense.index)
+    if case == "ico3-identity":
+        assert sparse.index == 3
+
+
+def test_dissection_order_factor_fills_less_than_colamd():
+    # the ico5 identity Hessian: nnz(L) + nnz(U) with each vertex's unknowns
+    # in the mesh's dissection order, against SuperLU's COLAMD
+    mesh = build_icosphere(5)
+    op = hessian_matrix(identity_sphere_map(mesh, UnitSphere(3)))
+    s = sp.diags(1.0 / np.sqrt(op.mass))
+    A = (s @ op.form @ s + 1e-5 * sp.identity(op.form.shape[0])).tocsc()
+    p = (mesh.dissection_order[:, None] * 2 + np.arange(2)).ravel()
+    nested = spla.splu(A[p][:, p], permc_spec="NATURAL")
+    colamd = spla.splu(A, permc_spec="COLAMD")
+    assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)

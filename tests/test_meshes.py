@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import harmonicflow.meshes as meshes_module
 from harmonicflow import (
     build_circle,
     build_flat_torus,
@@ -29,7 +30,12 @@ from harmonicflow.meshes import (
 )
 from harmonicflow.rng import stream
 
-from oracles import cartesian_icosphere_stencil, dense_laplacian_spectrum, reference_stiffness
+from oracles import (
+    cartesian_icosphere_stencil,
+    dense_laplacian_spectrum,
+    loop_icosphere,
+    reference_stiffness,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +257,31 @@ def test_icosphere_two_row_stencil_matches_cartesian_rows(level):
     dens3 = scatter3 @ (df3 * df3) / mesh.area[:, None]
     # relative to each component's largest density: all three vanish at the poles
     assert np.all(np.abs(dens2 - dens3) <= 1e-14 * np.max(dens3, axis=0))
+
+
+@pytest.mark.parametrize("level", range(6))
+def test_icosphere_subdivision_matches_per_face_loop_bitwise(level, monkeypatch):
+    mesh = build_icosphere(level)
+    verts, faces = loop_icosphere(level)
+    assert np.array_equal(mesh.points, verts)
+    # level 0 on the loop's subdivided mesh: the same faces, in the same order
+    monkeypatch.setattr(meshes_module, "_icosahedron", lambda: (verts, faces))
+    ref = build_icosphere(0)
+    assert np.array_equal(mesh.area, ref.area) and np.array_equal(mesh.modes, ref.modes)
+    for name in ("diff", "diff_scatter", "stiffness"):
+        a, b = getattr(mesh, name), getattr(ref, name)
+        assert a.shape == b.shape and (a != b).nnz == 0, name
+
+
+@pytest.mark.parametrize("spec", [
+    {"kind": "circle", "n": 200},
+    {"kind": "flat_torus", "nu": 8, "nv": 12},
+    {"kind": "flat_torus", "nu": 40, "nv": 24},
+    {"kind": "icosphere", "level": 3},
+], ids=lambda spec: "-".join(str(v) for v in spec.values()))
+def test_dissection_order_is_a_permutation(spec):
+    order = build_source(spec).dissection_order
+    assert np.array_equal(np.sort(order), np.arange(order.size))
 
 
 def test_sobolev_norm_constant_k0(ico4):

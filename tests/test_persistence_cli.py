@@ -663,12 +663,16 @@ def test_cli_hessian_spec_assembles_one_hessian(tmp_path, monkeypatch):
     assert written == json.loads(json.dumps(report.to_json_dict()))
 
 
-def test_cli_hessian_spec_not_critical_exit_3_after_spectrum(tmp_path):
+def test_cli_hessian_spec_not_critical_exit_3_before_spectrum(tmp_path, monkeypatch):
+    def no_hessian(f):
+        raise AssertionError("Hessian assembled at a non-critical map")
+
+    monkeypatch.setattr(cli_module, "hessian_matrix", no_hessian)
     cfg = BASE_CFG.format(analyses="hessian-spec")  # perturbed map: not critical
     cfg += "\n[hessian]\nexpected_critical_dim = 2\n"
     out = tmp_path / "out"
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
-    assert (out / "hessian_spectrum.json").exists()
+    assert not (out / "hessian_spectrum.json").exists()
     assert not (out / "morse_bott.json").exists()
 
 
