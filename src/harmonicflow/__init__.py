@@ -42,7 +42,7 @@ from .energy import (  # noqa: F401
     tension,
 )
 from .charts import ChartReport, bilipschitz_estimate, chart_pull, chart_push  # noqa: F401
-from .flow import FlowControl, FlowTrace, dissipation_check, run_flow  # noqa: F401
+from .flow import FlowControl, FlowTrace, run_flow  # noqa: F401
 from .lojasiewicz import (  # noqa: F401
     ConvergenceVerdict,
     InequalityReport,

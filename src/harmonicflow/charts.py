@@ -1,4 +1,4 @@
-"""Coordinate charts on the space of maps: u -> pi(f + u) and its inverse."""
+"""Charts on the space of maps, u -> pi(f + u) and its inverse, on (V, S, n) stacks."""
 
 from __future__ import annotations
 
@@ -7,27 +7,43 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ChartRadiusExceeded
-from .fields import MapField, TangentField, random_tangent_field
-from .meshes import sobolev_norm
+from .fields import MapField, TangentField, _unchecked, random_tangent_stack
+from .meshes import row_dots, sobolev_norm, stack_chunks
 from .rng import stream
 
-__all__ = ["chart_push", "chart_pull", "bilipschitz_estimate", "ChartReport"]
+__all__ = ["chart_push", "chart_pull", "push", "pull", "bilipschitz_estimate", "ChartReport"]
+
+
+def push(f: MapField, u: np.ndarray) -> np.ndarray:
+    """Phi_f(u) = pi(f + u), vertexwise, for a (V, S, n) stack of tangent fields u
+    along f, each with |u|_inf below the chart radius."""
+    delta = f.target.chart_radius()
+    sup = np.sqrt(np.max(row_dots(u, u), axis=0))
+    if np.any(sup >= delta):
+        raise ChartRadiusExceeded(f"|u|_inf = {np.max(sup):.3e} >= {delta:.3e}")
+    return f.target.project_to_target(f.values[:, None, :] + u)
+
+
+def pull(f: MapField, f1: np.ndarray) -> np.ndarray:
+    """The tangent stack u with pi(f + u) = f1 for a (V, S, n) stack f1, vertex by
+    vertex: the point of the normal segment through f1 in f + T_f N (targets.py)."""
+    y = f.values[:, None, :]
+    if np.max(np.linalg.norm(y - f1, axis=-1)) >= f.target.chart_radius():
+        raise ChartRadiusExceeded("maps too far apart to share a chart")
+    u = f.target.chart_inverse(y, f1)
+    f.target.require_tangent(y, u)
+    return u
 
 
 def chart_push(f: MapField, u: TangentField) -> MapField:
     """Phi_f(u) = pi(f + u), vertexwise."""
-    delta = f.target.chart_radius()
-    if u.linf() >= delta:
-        raise ChartRadiusExceeded(f"|u|_inf = {u.linf():.3e} >= {delta:.3e}")
-    return MapField.project(f.values + u.values, f.target, f.mesh)
+    return _unchecked(MapField, values=push(f, u.values[:, None])[:, 0], target=f.target,
+                      mesh=f.mesh)
 
 
 def chart_pull(f: MapField, f1: MapField) -> TangentField:
-    """Tangent u with pi(f + u) = f1, vertex by vertex in closed form: the point
-    of the normal segment through f1 that lies in f + T_f N (targets.py)."""
-    if np.max(np.linalg.norm(f.values - f1.values, axis=1)) >= f.target.chart_radius():
-        raise ChartRadiusExceeded("maps too far apart to share a chart")
-    return TangentField(f.target.chart_inverse(f.values, f1.values), f)
+    """Tangent u with pi(f + u) = f1 (see ``pull``)."""
+    return _unchecked(TangentField, values=pull(f, f1.values[:, None])[:, 0], base=f)
 
 
 @dataclass
@@ -59,33 +75,24 @@ def bilipschitz_estimate(
     k, p = norm
     rng = stream(seed, "chart-bilipschitz")
     mesh = f.mesh
-    max_ratio = 0.0
-    min_ratio = np.inf
-    max_rt = 0.0
-    used = 0
-    for _ in range(int(samples)):
-        u = random_tangent_field(f, rng)
-        n_u = sobolev_norm(mesh, u.values, k, p)
-        if n_u == 0.0:
-            continue
-        u.values *= radius * rng.uniform(0.1, 1.0) / n_u
-        if u.linf() >= delta:
-            u.values *= 0.5 * delta / u.linf()
-        f1 = chart_push(f, u)
-        n_u = sobolev_norm(mesh, u.values, k, p)
-        n_d = sobolev_norm(mesh, f.values - f1.values, k, p)
-        if n_d == 0.0:
-            continue
-        ratio = n_u / n_d
-        max_ratio = max(max_ratio, ratio)
-        min_ratio = min(min_ratio, ratio)
-        back = chart_pull(f, f1)
-        max_rt = max(max_rt, float(np.max(np.linalg.norm(back.values - u.values, axis=1))))
-        used += 1
-    c4 = max(max_ratio, 1.0 / min_ratio) if used else 1.0
-    return ChartReport(
-        c4_estimate=float(c4),
-        max_roundtrip_error=float(max_rt),
-        sample_count=used,
-        radius_used=float(radius),
-    )
+    ratios, max_rt = [np.empty(0)], 0.0
+    for chunk in stack_chunks(mesh, f.target.ambient_dim, int(samples)):
+        u, w = random_tangent_stack(f, rng, chunk.stop - chunk.start, 0.1)
+        n_u = sobolev_norm(mesh, u, k, p)
+        keep = n_u > 0.0  # a zero field is skipped, not counted
+        u = u[:, keep] * (radius * w[keep] / n_u[keep])[:, None]
+        sup = np.sqrt(np.max(row_dots(u, u), axis=0))
+        shrink = np.where(sup >= delta, 0.5 * delta / sup, 1.0)
+        u *= shrink[:, None]
+        n_u = radius * w[keep] * shrink  # |u| after scaling, by homogeneity
+        f1 = push(f, u)
+        n_d = sobolev_norm(mesh, f.values[:, None, :] - f1, k, p)
+        used = n_d != 0.0
+        if used.any():
+            back = pull(f, f1[:, used])
+            max_rt = max(max_rt, float(np.max(np.linalg.norm(back - u[:, used], axis=-1))))
+            ratios.append(n_u[used] / n_d[used])
+    ratios = np.concatenate(ratios)
+    c4 = max(np.max(ratios), 1.0 / np.min(ratios)) if ratios.size else 1.0
+    return ChartReport(c4_estimate=float(c4), max_roundtrip_error=float(max_rt),
+                       sample_count=int(ratios.size), radius_used=float(radius))

@@ -12,7 +12,8 @@ Subcommands:
 
 Exit codes: 0 success, 2 configuration or hypothesis rejection, 3 numerical
 failure.  With a fixed config and seed, repeated runs write byte-identical
-artifacts (the manifest additionally records wall time).
+artifacts (the manifest additionally records wall time).  A failed run's
+manifest lists the outputs written before it and a ``failed`` {analysis, error}.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import hashlib
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -97,12 +99,9 @@ class _Run:
         self.trace = None
         self.outputs: list[str] = []
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out_dir, name)
-
     def record(self, name: str) -> str:
         self.outputs.append(name)
-        return self.path(name)
+        return os.path.join(self.out_dir, name)
 
     # -- analyses ------------------------------------------------------------
 
@@ -242,6 +241,7 @@ def run_scenario(
     os.makedirs(out_dir, exist_ok=True)
 
     analyses = [only_analysis] if only_analysis else list(scn.analyses)
+    code, run = 0, None
     try:
         run = _Run(scn, out_dir)
         if "verify" in analyses:  # before any analysis writes its outputs
@@ -252,10 +252,12 @@ def run_scenario(
             ANALYSIS_RUNNERS[name](run)
     except CONFIG_ERRORS as exc:
         print(f"rejected: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, exc
     except (HarmonicFlowError, np.linalg.LinAlgError, OSError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
+    if code and not (run and run.outputs):
+        return code
 
     manifest = {
         "config": scn.echo,
@@ -267,19 +269,14 @@ def run_scenario(
         "analyses": analyses,
         "wall_time_s": time.monotonic() - t_start,
         "outputs": [
-            {"path": name, "sha256": _sha256(os.path.join(out_dir, name))}
-            for name in sorted(run.outputs)
+            {"path": name, "sha256": hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()}
+            for name in sorted(run.outputs) if Path(out_dir, name).exists()
         ],
     }
+    if code:  # the outputs written before the failure, and the analysis that failed
+        manifest["failed"] = {"analysis": name, "error": f"{type(error).__name__}: {error}"}
     write_json(manifest, os.path.join(out_dir, "run_manifest.json"))
-    return 0
-
-
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -264,21 +264,9 @@ def parse_config(path: str) -> Scenario:
 
     echo = {sec: {k: _echo_value(v) for k, v in keys.items()}
             for sec, keys in out.items()}
-    return Scenario(
-        seed=out["scenario"]["seed"],
-        output_dir=out["scenario"]["output_dir"],
-        analyses=out["scenario"]["analyses"],
-        mesh=out["mesh"],
-        target=out["target"],
-        initial_map=out["initial_map"],
-        flow=out["flow"],
-        loja_fit=out["loja_fit"],
-        verify=out["verify"],
-        hessian=out["hessian"],
-        chart_audit=out["chart_audit"],
-        mult_probe=out["mult_probe"],
-        echo=echo,
-    )
+    scenario = out.pop("scenario")  # [scenario]'s keys are fields, each other section one
+    return Scenario(seed=scenario["seed"], output_dir=scenario["output_dir"],
+                    analyses=scenario["analyses"], echo=echo, **out)
 
 
 def _echo_value(v):

@@ -101,11 +101,25 @@ def degree_circle_map(mesh: SourceMesh, target: EmbeddedTarget, k: int) -> MapFi
     return MapField(np.stack([np.cos(k * t), np.sin(k * t)], axis=1), target, mesh)
 
 
+def random_tangent_stack(f: MapField, rng: np.random.Generator, count: int,
+                         low: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` fields over the mesh's modes projected to the tangent planes along
+    f, one (V, count, n) stack from one product and one projection.  With ``low``,
+    each field's draw is followed by a uniform(low, 1) draw; returns (stack, uniforms)."""
+    shape = (f.mesh.modes.shape[1], f.target.ambient_dim)
+    coeffs, uniforms = np.empty((count, *shape)), np.full(count, np.nan)
+    for s in range(count):
+        coeffs[s] = rng.standard_normal(shape)
+        if low is not None:
+            uniforms[s] = rng.uniform(low, 1.0)
+    raw = f.mesh.modes @ coeffs.transpose(1, 0, 2).reshape(shape[0], -1)  # (V, count n)
+    u = f.target.tangent_project(f.values[:, None, :], raw.reshape(len(raw), count, -1))
+    return u, uniforms
+
+
 def random_tangent_field(f: MapField, rng: np.random.Generator) -> TangentField:
     """Ambient field over the mesh's modes projected to the tangent planes along f."""
-    modes = f.mesh.modes
-    raw = modes @ rng.standard_normal((modes.shape[1], f.target.ambient_dim))
-    return TangentField.project(raw, f)
+    return _unchecked(TangentField, values=random_tangent_stack(f, rng, 1)[0][:, 0], base=f)
 
 
 def perturbed_constant_map(

@@ -25,12 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientSamples
+from .errors import ConfigError
 from .fields import MapField, TangentField
 from .meshes import row_dots, sobolev_norm
 from .energy import energy
 
-__all__ = ["FlowControl", "FlowTrace", "first_step", "run_flow", "dissipation_check"]
+__all__ = ["FlowControl", "FlowTrace", "first_step", "run_flow"]
 
 ENERGY_SLACK = 1e-12
 GROW_FACTOR = 1.25
@@ -146,24 +146,3 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     ]
     return FlowTrace(np.array(times), energies, np.array(grad_norms), dist, np.array(dts),
                      terminated_by, checkpoints, f, candidates, rejections, halvings, stable)
-
-
-def dissipation_check(trace: FlowTrace) -> float:
-    """Max relative residual of dE/dt = -|M|^2 over interior trace samples."""
-    if len(trace.t) < 3:
-        raise InsufficientSamples("need at least 3 samples")
-    t, e, g2 = trace.t, trace.energy, trace.grad_norm_l2**2
-    worst = 0.0
-    for i in range(1, len(t) - 1):
-        dt_span = t[i + 1] - t[i - 1]
-        if dt_span <= 0:
-            continue
-        dedt = (e[i + 1] - e[i - 1]) / dt_span
-        resid = abs(dedt + g2[i])
-        if resid == 0.0:
-            continue
-        scale = max(g2[i], abs(dedt))
-        if scale == 0.0:
-            continue  # stationary: 0/0 counts as zero residual
-        worst = max(worst, resid / scale)
-    return worst

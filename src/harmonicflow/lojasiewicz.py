@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import chart_push
+from .charts import push
 from .energy import HessianSpectrum, energy, grad_l2_norm, hessian_matrix, hessian_spectrum, tension
 from .errors import (
     DegenerateWindow,
@@ -22,10 +22,11 @@ from .errors import (
     NotCritical,
     UnsupportedOrder,
 )
-from .fields import MapField, random_tangent_field
+from .fields import MapField, _unchecked, random_tangent_stack
 from .flow import FlowControl, FlowTrace
 from .meshes import (
-    ExponentVerdict, SourceMesh, l2_norm, lp_norm, sobolev_norm, validate_exponents,
+    ExponentVerdict, SourceMesh, laplace_beltrami_apply, lp_norm, row_dots, sobolev_norm,
+    stack_chunks, validate_exponents,
 )
 from .rng import stream
 
@@ -57,34 +58,37 @@ def sample_neighborhood(
     norm: tuple[int, float] = (1, 2.0),
     seed: int = 0,
 ) -> list[MapField]:
-    """Seeded random maps with |f - f_inf|_{W^{k,p}} uniform in (0, sigma)."""
+    """Seeded random maps with |f - f_inf|_{W^{k,p}} uniform in (0, sigma), drawn
+    and pushed a (V, S, n) stack at a time; each map is a view of its stack."""
     k, p = norm
     rng = stream(seed, "loja-neighborhood")
-    mesh = f_inf.mesh
+    mesh, target = f_inf.mesh, f_inf.target
     out: list[MapField] = []
-    for _ in range(int(count)):
-        u = random_tangent_field(f_inf, rng)
-        target_norm = sigma * rng.uniform(0.0, 1.0)
-        n_u = sobolev_norm(mesh, u.values, k, p)
-        if n_u == 0.0:
-            continue
-        u.values *= target_norm / n_u
-        f = chart_push(f_inf, u)
-        # enforce the neighborhood condition on the map difference itself
+    for chunk in stack_chunks(mesh, target.ambient_dim, int(count)):
+        u, w = random_tangent_stack(f_inf, rng, chunk.stop - chunk.start, 0.0)
+        n_u = sobolev_norm(mesh, u, k, p)
+        keep = n_u > 0.0  # a zero field is skipped, not counted
+        u = u[:, keep] * (sigma * w[keep] / n_u[keep])[:, None]
+        f = push(f_inf, u)
+        # enforce the neighborhood condition on the map difference itself, where it fails
+        far = np.arange(f.shape[1])
         for _ in range(8):
-            d = sobolev_norm(mesh, f.values - f_inf.values, k, p)
-            if d < sigma:
+            d = sobolev_norm(mesh, f[:, far] - f_inf.values[:, None, :], k, p)
+            far, d = far[d >= sigma], d[d >= sigma]
+            if not far.size:
                 break
-            u.values *= 0.9 * sigma / d
-            f = chart_push(f_inf, u)
-        out.append(f)
+            u[:, far] *= (0.9 * sigma / d)[:, None]
+            f[:, far] = push(f_inf, u[:, far])
+        out += [_unchecked(MapField, values=f[:, s], target=target, mesh=mesh)
+                for s in range(f.shape[1])]
     return out
 
 
-def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable[[np.ndarray], float]:
-    """|M| in the discrete W^{k-2,p} family, as a function of the tension
-    values M: L^p for k = 2; for k = 1 the dual-norm stand-in, the sup of
-    (M, v) / |v|_{W^{1,p'}} over a band-limited test family built here, once.
+def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable:
+    """|M| in the discrete W^{k-2,p} family of tension values M, (S,) norms of a
+    (V, S, n) stack or a float for one (V, n) field: L^p for k = 2; for k = 1 the
+    dual-norm stand-in, the sup of (M, v) / |v|_{W^{1,p'}} over a band-limited
+    test family built here, once.
 
     The test fields are v = basis @ G over the mode basis: each mode in each
     ambient component, then 32 seeded probes.  Their pairings with M are
@@ -100,12 +104,15 @@ def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable[[np.ndarray
         np.eye(modes * n).reshape(modes * n, modes, n),
         stream(0, "dual-norm").standard_normal((32, modes, n)),
     ])
-    # one field at a time: stacking them all in one product costs memory
-    norms = np.array([sobolev_norm(mesh, basis @ g, 1, p / (p - 1.0)) for g in coeffs])
+    q = p / (p - 1.0)  # the test fields' norms, a (V, S, n) stack at a time
+    norms = np.concatenate([sobolev_norm(mesh, np.moveaxis(basis @ coeffs[c], 0, 1), 1, q)
+                            for c in stack_chunks(mesh, n, len(coeffs))])
 
-    def dual_norm(m: np.ndarray) -> float:
-        pairings = np.tensordot(coeffs, basis.T @ (mesh.area[:, None] * m), 2)
-        return float(np.max(np.abs(pairings) / norms))
+    def dual_norm(m: np.ndarray):
+        weighted = basis.T @ (mesh.area[:, None] * m.reshape(len(m), -1))
+        pairings = np.tensordot(coeffs, weighted.reshape(modes, -1, n), ([1, 2], [0, 2]))
+        sups = np.max(np.abs(pairings) / norms[:, None], axis=0)
+        return sups if m.ndim == 3 else float(sups[0])
 
     return dual_norm
 
@@ -150,16 +157,25 @@ def verify_inequality(
     dual_p: float = 2.0,
 ) -> InequalityReport:
     """Per-sample table of |M(f)| versus Z |E(f) - E(f_inf)|^theta."""
-    mesh = f_inf.mesh
+    mesh, n = f_inf.mesh, f_inf.target.ambient_dim
     if norm_used == "l2":
-        grad_norm = lambda m: l2_norm(mesh, m)
+        grad_norm = lambda m: np.sqrt(mesh.area @ row_dots(m, m))
     elif norm_used == "wk_minus_2_p":
-        grad_norm = _wk_norm(mesh, f_inf.target.ambient_dim, k, dual_p)
+        grad_norm = _wk_norm(mesh, n, k, dual_p)
     else:
         raise ValueError(f"unknown norm_used {norm_used!r}")
     e_inf = energy(f_inf)
-    gaps = [abs(energy(f) - e_inf) for f in samples]
-    gns = [grad_norm(tension(f).values) for f in samples]
+    gaps, gns = [np.empty(0)], [np.empty(0)]
+    for chunk in stack_chunks(mesh, n, len(samples)):
+        f = np.stack([s.values for s in samples[chunk]], axis=1)  # (V, S, n)
+        cols = f.reshape(len(f), -1)
+        # E as energy() forms it, squared stencil differences; M = dpi(f) (K f) / area
+        df = mesh.diff @ cols
+        gaps.append(np.abs(0.5 * np.einsum("ij,ij->j", df, df).reshape(-1, n).sum(axis=1) - e_inf))
+        del df  # keeps a chunk's peak below malloc's trim threshold: its pages are not re-faulted
+        lap = laplace_beltrami_apply(mesh, cols).reshape(f.shape)
+        gns.append(grad_norm(f_inf.target.tangent_project(f, lap)))
+    gaps, gns = np.concatenate(gaps).tolist(), np.concatenate(gns).tolist()
     # scalar powers: numpy's gap**0.5 takes the sqrt path, which can differ in the last digit
     ratios = [gn / gap**theta if gap > 0 else math.inf for gap, gn in zip(gaps, gns)]
     margins = [gn - z * gap**theta for gap, gn in zip(gaps, gns)]

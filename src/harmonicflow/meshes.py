@@ -400,29 +400,48 @@ def l2_norm(mesh: SourceMesh, u: np.ndarray) -> float:
 
 
 SOBOLEV_ORDERS = (0, 1, 2)  # the orders k that sobolev_norm implements
+STACK_ELEMENTS = 1 << 15  # per (V, S, n) stack of S fields: 17 at icosphere L3, 1 from L5 up
 
 
-def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float) -> float:
+def stack_chunks(mesh: SourceMesh, n: int, count: int) -> list[slice]:
+    """range(count) in slices of S = max(1, STACK_ELEMENTS // (V n)) fields (<= 256 KB)."""
+    size = max(1, STACK_ELEMENTS // (mesh.vertex_count * n))
+    return [slice(s, min(s + size, count)) for s in range(0, count, size)]
+
+
+def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float):
     """Discrete W^{k,p} norm: (sum_j integral |grad^j f|^p)^(1/p).
 
-    Components enter through p-th powers of their own derivative magnitudes.
-    The second-order term uses |Delta f| as the derivative-magnitude proxy.
+    A float for a (V,) or (V, n) field, (S,) norms for a (V, S, n) stack.  Components
+    enter through p-th powers of their own derivative magnitudes; at p = 2 the first-order
+    term is sum_rows |D f|^2, as each D row's scatter weights sum to 1.  The second-order
+    term uses |Delta f| as the derivative-magnitude proxy.
     """
     if k not in SOBOLEV_ORDERS:
         raise UnsupportedOrder(f"sobolev order k={k} not in {SOBOLEV_ORDERS}")
     if p < 1:
         raise InadmissibleExponents(f"p must be >= 1, got {p}")
     f = _check_field(mesh, f)
-    comps = f[:, None] if f.ndim == 1 else f
-    terms = [comps]
-    if k >= 1:  # pointwise |grad f_c|
-        df = mesh.diff @ comps
-        grad_sq = mesh.diff_scatter @ (df * df) / mesh.area[:, None]
-        terms.append(np.sqrt(np.maximum(grad_sq, 0.0)))
+    cols = f.reshape(f.shape[0], -1)  # (V, S n): one sparse product per term
+    per_field = f.shape[1:] if f.ndim == 3 else (1, -1)
+
+    def integral(t: np.ndarray) -> np.ndarray:  # per field, of |t|^p over the components
+        return (mesh.area @ np.abs(t) ** p).reshape(per_field).sum(axis=1)
+
+    total = integral(cols)
+    if k >= 1:
+        df = mesh.diff @ cols
+        if p == 2:
+            total += np.einsum("ij,ij->j", df, df).reshape(per_field).sum(axis=1)
+        else:  # pointwise |grad f_c|; in place, D's product freed early (see verify_inequality)
+            grad = mesh.diff_scatter @ np.square(df, out=df)
+            del df
+            grad /= mesh.area[:, None]
+            total += integral(np.sqrt(np.maximum(grad, 0.0, out=grad), out=grad))
     if k >= 2:
-        terms.append(laplace_beltrami_apply(mesh, comps))
-    total = sum(float(np.sum(mesh.area @ np.abs(t) ** p)) for t in terms)
-    return total ** (1.0 / p)
+        total += integral(laplace_beltrami_apply(mesh, cols))
+    norms = total ** (1.0 / p)
+    return norms if f.ndim == 3 else float(norms[0])
 
 
 def lp_norm(mesh: SourceMesh, f: np.ndarray, p: float) -> float:

@@ -7,8 +7,11 @@ reference derivations the package defines only once: the tension through the
 second fundamental form, the Hessian action contracted from d2pi directly,
 and the stiffness matrices from their stencil weights; and what only tests
 apply: the Hessian action as the assembled form lifted to ambient fields, the
-second fundamental form, and the icosphere subdivided by the per-face loop
-that the vectorized ``build_icosphere`` must match bit for bit.
+second fundamental form, the flow's dissipation residual, and the icosphere
+subdivided by the per-face loop that the vectorized ``build_icosphere`` must
+match bit for bit.  The per-sample loops of the chart audit and of the
+neighbourhood sampler, with the scatter form of the W^{k,p} norm, are kept
+as references for the (V, S, n) stack code that replaced them.
 """
 
 from __future__ import annotations
@@ -19,10 +22,18 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from harmonicflow import MapField, TangentField, energy, hessian_matrix, tension
+from harmonicflow import (
+    ChartReport, MapField, TangentField, chart_pull, chart_push, energy, hessian_matrix,
+    random_tangent_field, tension,
+)
 from harmonicflow.energy import _block_diagonal, tangent_frames
-from harmonicflow.errors import ChartRadiusExceeded
-from harmonicflow.meshes import _icosahedron, l2_inner, laplace_beltrami_apply
+from harmonicflow.errors import (
+    ChartRadiusExceeded, InadmissibleExponents, InsufficientSamples, UnsupportedOrder,
+)
+from harmonicflow.meshes import (
+    SOBOLEV_ORDERS, _check_field, _icosahedron, l2_inner, laplace_beltrami_apply,
+)
+from harmonicflow.rng import stream
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -99,9 +110,6 @@ def dual_norm_per_field(mesh, m: np.ndarray, p: float, probes: int = 32) -> floa
     library uses (each mode in each ambient component, then ``probes`` seeded
     mode combinations), with every field built and paired in full.
     """
-    from harmonicflow.meshes import l2_inner, sobolev_norm
-    from harmonicflow.rng import stream
-
     basis = mesh.modes
     n = m.shape[1]
     rng = stream(0, "dual-norm")
@@ -115,7 +123,7 @@ def dual_norm_per_field(mesh, m: np.ndarray, p: float, probes: int = 32) -> floa
         tests.append(basis @ rng.standard_normal((basis.shape[1], n)))
     best = 0.0
     for v in tests:
-        nv = sobolev_norm(mesh, v, 1, p / (p - 1.0))
+        nv = reference_sobolev_norm(mesh, v, 1, p / (p - 1.0))
         if nv > 0.0:
             best = max(best, abs(l2_inner(mesh, m, v)) / nv)
     return best
@@ -326,3 +334,109 @@ def dense_laplacian_spectrum(mesh, subset=None):
     solve; ``subset`` is an index range [lo, hi] into them."""
     return scipy.linalg.eigh(mesh.stiffness.toarray(), np.diag(mesh.area),
                              eigvals_only=True, subset_by_index=subset)
+
+
+def dissipation_check(trace) -> float:
+    """Max relative residual of dE/dt = -|M|^2 over interior trace samples."""
+    if len(trace.t) < 3:
+        raise InsufficientSamples("need at least 3 samples")
+    t, e, g2 = trace.t, trace.energy, trace.grad_norm_l2**2
+    worst = 0.0
+    for i in range(1, len(t) - 1):
+        dt_span = t[i + 1] - t[i - 1]
+        if dt_span <= 0:
+            continue
+        dedt = (e[i + 1] - e[i - 1]) / dt_span
+        resid = abs(dedt + g2[i])
+        if resid == 0.0:
+            continue
+        scale = max(g2[i], abs(dedt))
+        if scale == 0.0:
+            continue  # stationary: 0/0 counts as zero residual
+        worst = max(worst, resid / scale)
+    return worst
+
+
+def reference_sobolev_norm(mesh, f: np.ndarray, k: int, p: float) -> float:
+    """Discrete W^{k,p} norm of one field, every order through the pointwise
+    |grad f_c| = sqrt(scatter (D f_c)^2 / area), also at p = 2."""
+    if k not in SOBOLEV_ORDERS:
+        raise UnsupportedOrder(f"sobolev order k={k} not in {SOBOLEV_ORDERS}")
+    if p < 1:
+        raise InadmissibleExponents(f"p must be >= 1, got {p}")
+    f = _check_field(mesh, f)
+    comps = f[:, None] if f.ndim == 1 else f
+    terms = [comps]
+    if k >= 1:  # pointwise |grad f_c|
+        df = mesh.diff @ comps
+        grad_sq = mesh.diff_scatter @ (df * df) / mesh.area[:, None]
+        terms.append(np.sqrt(np.maximum(grad_sq, 0.0)))
+    if k >= 2:
+        terms.append(laplace_beltrami_apply(mesh, comps))
+    total = sum(float(np.sum(mesh.area @ np.abs(t) ** p)) for t in terms)
+    return total ** (1.0 / p)
+
+
+def reference_bilipschitz_estimate(f, radius, samples, norm=(1, 2.0), seed=0) -> ChartReport:
+    """The chart audit one sample at a time, each norm evaluated in full."""
+    delta = f.target.chart_radius()
+    if radius >= delta:
+        raise ChartRadiusExceeded(f"radius {radius:.3e} >= {delta:.3e}")
+    k, p = norm
+    rng = stream(seed, "chart-bilipschitz")
+    mesh = f.mesh
+    max_ratio = 0.0
+    min_ratio = np.inf
+    max_rt = 0.0
+    used = 0
+    for _ in range(int(samples)):
+        u = random_tangent_field(f, rng)
+        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        if n_u == 0.0:
+            continue
+        u.values *= radius * rng.uniform(0.1, 1.0) / n_u
+        if u.linf() >= delta:
+            u.values *= 0.5 * delta / u.linf()
+        f1 = chart_push(f, u)
+        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        n_d = reference_sobolev_norm(mesh, f.values - f1.values, k, p)
+        if n_d == 0.0:
+            continue
+        ratio = n_u / n_d
+        max_ratio = max(max_ratio, ratio)
+        min_ratio = min(min_ratio, ratio)
+        back = chart_pull(f, f1)
+        max_rt = max(max_rt, float(np.max(np.linalg.norm(back.values - u.values, axis=1))))
+        used += 1
+    c4 = max(max_ratio, 1.0 / min_ratio) if used else 1.0
+    return ChartReport(
+        c4_estimate=float(c4),
+        max_roundtrip_error=float(max_rt),
+        sample_count=used,
+        radius_used=float(radius),
+    )
+
+
+def reference_sample_neighborhood(f_inf, sigma, count, norm=(1, 2.0), seed=0) -> list:
+    """The neighbourhood sampler one sample at a time, shrinking each in turn."""
+    k, p = norm
+    rng = stream(seed, "loja-neighborhood")
+    mesh = f_inf.mesh
+    out = []
+    for _ in range(int(count)):
+        u = random_tangent_field(f_inf, rng)
+        target_norm = sigma * rng.uniform(0.0, 1.0)
+        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        if n_u == 0.0:
+            continue
+        u.values *= target_norm / n_u
+        f = chart_push(f_inf, u)
+        # enforce the neighborhood condition on the map difference itself
+        for _ in range(8):
+            d = reference_sobolev_norm(mesh, f.values - f_inf.values, k, p)
+            if d < sigma:
+                break
+            u.values *= 0.9 * sigma / d
+            f = chart_push(f_inf, u)
+        out.append(f)
+    return out

@@ -10,7 +10,6 @@ from harmonicflow import (
     build_circle,
     constant_map,
     degree_circle_map,
-    dissipation_check,
     energy,
     identity_sphere_map,
     perturbed_constant_map,
@@ -24,6 +23,8 @@ from harmonicflow.flow import FlowTrace
 from harmonicflow.targets import EmbeddedTarget, TorusOfRevolution
 from harmonicflow.meshes import l2_norm
 from harmonicflow.rng import stream
+
+from oracles import dissipation_check
 
 
 def _step_with(f, m, dt):

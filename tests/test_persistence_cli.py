@@ -394,6 +394,27 @@ def test_cli_flow_and_manifest_hashes(tmp_path):
     assert 0.4 <= fit["theta_hat"] <= 0.6
 
 
+def test_cli_failed_analysis_manifest_lists_the_outputs_before_it(tmp_path, capsys):
+    # five flow steps leave loja-fit no window: exit 3 after the flow wrote its outputs
+    cfg = BASE_CFG.format(analyses="flow, loja-fit") + "max_steps = 5\n"
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "InsufficientDecades" in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    listed = [entry["path"] for entry in manifest["outputs"]]
+    assert listed == ["final_map.json", "flow_summary.json", "trace.csv"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(listed + ["run_manifest.json"])
+    import hashlib
+
+    for entry in manifest["outputs"]:
+        assert hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest() == entry["sha256"]
+    assert manifest["failed"]["analysis"] == "loja-fit"
+    assert manifest["failed"]["error"].startswith("InsufficientDecades: only 0 points")
+    ok = tmp_path / "ok"  # a run that succeeds has no failed entry
+    assert cli_main(["run", write_cfg(tmp_path, BASE_CFG.format(analyses="")), "--out", str(ok)]) == 0
+    assert "failed" not in json.loads((ok / "run_manifest.json").read_text())
+
+
 def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path, ico2, s2):
     # from a rough map the guard halves 0.015 below dt_min before any candidate
     ck = tmp_path / "rough.json"

@@ -1,0 +1,203 @@
+"""The (V, S, n) sample stacks against the one-sample-at-a-time references.
+
+``bilipschitz_estimate``, ``sample_neighborhood`` and ``verify_inequality``
+run their samples in chunks of ``stack_chunks``; ``tests/oracles.py`` keeps
+the per-sample loops they replaced and the scatter form of the W^{k,p} norm.
+Counts 0, 1 and one chunk plus one cover the empty run, a single field and a
+chunk boundary.
+"""
+
+import numpy as np
+import pytest
+
+from harmonicflow import (
+    CliffordTorus,
+    MapField,
+    TorusOfRevolution,
+    UnitSphere,
+    bilipschitz_estimate,
+    build_circle,
+    build_flat_torus,
+    build_icosphere,
+    constant_map,
+    degree_circle_map,
+    energy,
+    identity_sphere_map,
+    sample_neighborhood,
+    tension,
+    verify_inequality,
+)
+from harmonicflow.charts import pull, push
+from harmonicflow.errors import ChartRadiusExceeded
+from harmonicflow.fields import random_tangent_stack
+from harmonicflow.meshes import STACK_ELEMENTS, l2_norm, sobolev_norm, stack_chunks
+from harmonicflow.rng import stream
+
+from oracles import (
+    dual_norm_per_field,
+    reference_bilipschitz_estimate,
+    reference_sample_neighborhood,
+    reference_sobolev_norm,
+)
+
+REL = 1e-12
+
+
+def _clifford_map(mesh):
+    u, v = mesh.points[:, 0], mesh.points[:, 1]
+    return MapField(np.stack([np.cos(u), np.sin(u), np.cos(v), np.sin(v)], axis=1),
+                    CliffordTorus(2), mesh)
+
+
+# source -> target pairs: (harmonic base map, constant map at the same target)
+PAIRS = {
+    "circle-S1": lambda: (degree_circle_map(build_circle(256), UnitSphere(2), 1),
+                          constant_map(build_circle(256), UnitSphere(2))),
+    "flat_torus-clifford": lambda: (_clifford_map(build_flat_torus(16, 16)),
+                                    constant_map(build_flat_torus(16, 16), CliffordTorus(2))),
+    "ico2-S2": lambda: (identity_sphere_map(build_icosphere(2), UnitSphere(3)),
+                        constant_map(build_icosphere(2), UnitSphere(3))),
+    "ico2-torus_rev": lambda: (constant_map(build_icosphere(2), TorusOfRevolution(2.0, 0.5),
+                                            np.array([2.5, 0.0, 0.0])),) * 2,
+}
+
+
+def _chunk(f):
+    return max(1, STACK_ELEMENTS // (f.mesh.vertex_count * f.target.ambient_dim))
+
+
+def _counts(f):
+    return (0, 1, _chunk(f) + 1)
+
+
+def test_stack_chunks_cover_the_range_in_bounded_slices(ico2):
+    chunks = stack_chunks(ico2, 3, 200)
+    assert [c.stop - c.start for c in chunks] == [67, 67, 66]
+    assert chunks[0].start == 0 and chunks[-1].stop == 200
+    assert stack_chunks(ico2, 3, 0) == []
+    assert all(c.stop - c.start == 1 for c in stack_chunks(build_icosphere(5), 3, 3))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("p", [2.0, 3.0, 1.5])
+def test_stack_norm_is_the_per_field_scatter_norm(ico2, torus16, k, p):
+    for mesh, n in ((ico2, 3), (torus16, 4)):
+        stack = stream(k, "stack-norm").standard_normal((mesh.vertex_count, 5, n))
+        got = sobolev_norm(mesh, stack, k, p)
+        assert got.shape == (5,)
+        want = [reference_sobolev_norm(mesh, stack[:, s], k, p) for s in range(5)]
+        assert got.tolist() == pytest.approx(want, rel=REL, abs=0.0)
+        one = sobolev_norm(mesh, stack[:, 0], k, p)
+        assert isinstance(one, float) and one == pytest.approx(want[0], rel=REL, abs=0.0)
+        assert isinstance(sobolev_norm(mesh, stack[:, 0, 0], k, p), float)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_chart_audit_stacks_match_the_sample_loop(pair):
+    f, _ = PAIRS[pair]()
+    radius = 0.1 * f.target.tubular_radius()
+    for count in _counts(f):
+        for norm in ((1, 2.0), (1, 3.0)):
+            got = bilipschitz_estimate(f, radius, count, norm=norm, seed=3)
+            want = reference_bilipschitz_estimate(f, radius, count, norm=norm, seed=3)
+            assert got.sample_count == want.sample_count == count
+            assert got.c4_estimate == pytest.approx(want.c4_estimate, rel=REL, abs=0.0)
+            assert got.max_roundtrip_error <= 1e-12 and want.max_roundtrip_error <= 1e-12
+    delta = f.target.chart_radius()
+    for audit in (bilipschitz_estimate, reference_bilipschitz_estimate):
+        with pytest.raises(ChartRadiusExceeded):
+            audit(f, delta, 4)
+
+
+def test_chart_audit_sup_rescale_matches_the_sample_loop():
+    # on a 0.5 x 0.5 torus an L2 radius of 0.9 delta puts most fields' sup at or
+    # past delta: those are rescaled to sup delta / 2, and their norm with them
+    f = constant_map(build_flat_torus(16, 16, 0.5, 0.5), CliffordTorus(2))
+    radius = 0.9 * f.target.chart_radius()
+    got = bilipschitz_estimate(f, radius, 33, norm=(0, 2.0), seed=3)
+    want = reference_bilipschitz_estimate(f, radius, 33, norm=(0, 2.0), seed=3)
+    assert got.sample_count == want.sample_count == 33
+    assert got.c4_estimate == pytest.approx(want.c4_estimate, rel=REL, abs=0.0)
+    assert got.c4_estimate > 1.01
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_neighbourhood_stacks_match_the_sample_loop(pair):
+    f_base, f_const = PAIRS[pair]()
+    for f_inf in (f_base, f_const):
+        mesh = f_inf.mesh
+        for count in _counts(f_inf):
+            got = sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=5)
+            want = reference_sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=5)
+            assert len(got) == len(want) == count
+            for g, w in zip(got, want):
+                assert np.max(np.abs(g.values - w.values)) <= REL
+                assert sobolev_norm(mesh, g.values - f_inf.values, 1, 3.0) == pytest.approx(
+                    reference_sobolev_norm(mesh, w.values - f_inf.values, 1, 3.0), rel=REL, abs=0.0)
+    for sampler in (sample_neighborhood, reference_sample_neighborhood):
+        with pytest.raises(ChartRadiusExceeded):
+            sampler(f_const, 50.0, 3, norm=(1, 3.0), seed=5)
+
+
+@pytest.mark.parametrize("pair", PAIRS)
+def test_verify_stacks_match_per_sample_energy_and_tension(pair):
+    # at a constant map E(f_inf) = 0, so each gap is an energy resolved to rounding
+    _, f_inf = PAIRS[pair]()
+    mesh = f_inf.mesh
+    e_inf = energy(f_inf)
+    for count in _counts(f_inf):
+        samples = reference_sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=2)
+        gaps = [abs(energy(f) - e_inf) for f in samples]
+        l2 = [l2_norm(mesh, tension(f).values) for f in samples]
+        dual = [dual_norm_per_field(mesh, tension(f).values, 3.0) for f in samples]
+        for norm_used, grads in (("l2", l2), ("wk_minus_2_p", dual)):
+            rep = verify_inequality(samples, f_inf, 0.5, 0.9, norm_used, k=1, dual_p=3.0)
+            assert len(rep.gap) == count
+            assert rep.gap.tolist() == pytest.approx(gaps, rel=REL, abs=0.0)
+            assert rep.grad_norm.tolist() == pytest.approx(grads, rel=REL, abs=0.0)
+            ratios = [g / gap**0.5 for g, gap in zip(grads, gaps)]
+            assert rep.ratio.tolist() == pytest.approx(ratios, rel=REL, abs=0.0)
+
+
+def test_shrink_passes_match_the_sample_loop(monkeypatch, ico2, s2):
+    # pushes land off by a constant field of norm 0.9 sigma, so many samples end
+    # outside the sigma ball and shrink, some more than once: the stack code
+    # shrinks only those, and both samplers run the same offset push
+    import harmonicflow.charts as charts_module
+    import harmonicflow.lojasiewicz as loja_module
+
+    f_inf, sigma, count = identity_sphere_map(ico2, s2), 0.1, 68
+    offset = np.ones((ico2.vertex_count, 3))
+    offset *= 0.9 * sigma / sobolev_norm(ico2, offset, 1, 3.0)
+    bare, widths = charts_module.push, []
+
+    def offset_push(f, u):
+        widths.append(u.shape[1])
+        return bare(f, u) + offset[:, None, :]
+
+    monkeypatch.setattr(charts_module, "push", offset_push)
+    monkeypatch.setattr(loja_module, "push", offset_push)
+    got = sample_neighborhood(f_inf, sigma, count, norm=(1, 3.0), seed=5)
+    stacked, widths[:] = list(widths), []
+    want = reference_sample_neighborhood(f_inf, sigma, count, norm=(1, 3.0), seed=5)
+    assert len(want) == count and len(widths) > count + 8  # the loop shrank often
+    assert sum(stacked) == len(widths)  # the same pushes, field for field
+    assert stacked[0] == 67 and max(stacked[1:]) > 1  # passes over subsets of a chunk
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g.values - w.values)) <= REL
+
+
+def test_push_checks_each_field_of_a_stack(ico2, s2):
+    f = constant_map(ico2, s2)
+    u, _ = random_tangent_stack(f, stream(1, "stack-push"), 3)
+    sup = np.sqrt(np.max(np.sum(u * u, axis=-1), axis=0))
+    u *= (0.2 / sup)[:, None]
+    f1 = push(f, u)
+    assert np.max(np.abs(pull(f, f1) - u)) <= 1e-14
+    u[:, 1] *= 3.0  # one field at 0.6 >= the chart radius 0.5
+    with pytest.raises(ChartRadiusExceeded):
+        push(f, u)
+    far = f1.copy()
+    far[:, 2] = -f.values  # one map at the antipode: too far for the chart
+    with pytest.raises(ChartRadiusExceeded):
+        pull(f, far)
