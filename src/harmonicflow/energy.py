@@ -15,9 +15,10 @@ bilinear form in per-vertex orthonormal tangent frames B (V blocks n x dN):
     F = B^T K B + diag_x( a_x < d2pi(f)(e_i, e_j), Delta f > ),
 
 symmetric by the symmetry of d2pi; its lift to ambient tangent fields is
-H(f) v = B (F (B^T v)) / mass.  ``hessian_spectrum`` diagonalizes
-M^{-1/2} F M^{-1/2} densely up to DENSE_EIG_LIMIT unknowns; above, by
-shift-invert Lanczos on one sparse LU factor in nested-dissection order.
+H(f) v = B (F (B^T v)) / mass.  ``hessian_spectrum`` takes every eigenvalue of
+M^{-1/2} F M^{-1/2} up to FULL_SPECTRUM_LIMIT unknowns, from its band in
+reverse Cuthill-McKee order; above, the ones nearest zero, by shift-invert
+Lanczos on one sparse LU factor in nested-dissection order.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import EigensolveFailure
 from .fields import MapField, TangentField
@@ -156,7 +159,24 @@ class HessianSpectrum:
         return asdict(self)
 
 
-DENSE_EIG_LIMIT = 3000
+FULL_SPECTRUM_LIMIT = 3000
+
+
+def _band_eigenvalues(A: sp.csr_matrix) -> np.ndarray:
+    """Every eigenvalue of the symmetric A, ascending, from its lower band in
+    reverse Cuthill-McKee order: (b + 1) x n doubles, b the half-bandwidth."""
+    A = A.copy()
+    A.eliminate_zeros()  # a stored zero is no edge
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    C = A.tocoo()
+    row, col = rank[C.row], rank[C.col]
+    low = row >= col
+    offset, col = row[low] - col[low], col[low]
+    band = np.zeros((offset.max(initial=0) + 1, A.shape[0]))
+    band[offset, col] = C.data[low]  # LAPACK lower band storage: a[i, j] at [i - j, j]
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
 
 
 def hessian_spectrum(
@@ -166,19 +186,25 @@ def hessian_spectrum(
 ) -> HessianSpectrum:
     """Eigenvalues (ascending) with a gap-aware kernel count.
 
-    Dense solve below DENSE_EIG_LIMIT unknowns, shift-invert around zero
-    above: ARPACK runs on the solves of one LU factor of A - sigma I, its rows
-    and columns in the mesh's ``dissection_order`` (each vertex's dN unknowns
-    together).  kernel_tol defaults to 1e-6 times the largest eigenvalue.  The
-    index counts the (computed) eigenvalues below -kernel_tol.
+    Up to FULL_SPECTRUM_LIMIT unknowns every eigenvalue, from LAPACK's banded
+    solver on the matrix's band in reverse Cuthill-McKee order; above, the
+    ``n_modes`` nearest zero by shift-invert around zero: ARPACK runs on the
+    solves of one LU factor of A - sigma I, its rows and columns in the mesh's
+    ``dissection_order`` (each vertex's dN unknowns together).  A form with a
+    non-finite entry raises EigensolveFailure on either path.  kernel_tol
+    defaults to 1e-6 times the largest eigenvalue.  The index counts the
+    (computed) eigenvalues below -kernel_tol.
     """
     dim = op.form.shape[0]
     s = 1.0 / np.sqrt(op.mass)
     A = sp.diags(s) @ op.form @ sp.diags(s)  # mass-symmetrized M^{-1/2} F M^{-1/2}
-    if dim <= DENSE_EIG_LIMIT:
+    # each solver reads one triangle or one product: check every stored entry here
+    if not np.isfinite(A.data).all():
+        raise EigensolveFailure("non-finite entry in the Hessian form")
+    if dim <= FULL_SPECTRUM_LIMIT:
         try:
-            vals = np.linalg.eigvalsh(A.toarray())
-        except np.linalg.LinAlgError as exc:
+            vals = _band_eigenvalues(A)
+        except (ValueError, np.linalg.LinAlgError) as exc:
             raise EigensolveFailure(str(exc)) from exc
         lam_max = float(vals[-1])
         partial = False

@@ -94,11 +94,14 @@ def identity_sphere_map(mesh: SourceMesh, target: EmbeddedTarget) -> MapField:
 
 
 def degree_circle_map(mesh: SourceMesh, target: EmbeddedTarget, k: int) -> MapField:
-    """Degree-k map of the circle, theta -> (cos k theta, sin k theta)."""
-    if mesh.kind != "circle" or target != UnitSphere(2):
-        raise ShapeMismatch("degree map needs a circle mesh and S^1 target")
+    """Degree-k map of the circle onto a great circle of a unit sphere,
+    theta -> (cos k theta, sin k theta, 0, ..., 0)."""
+    if mesh.kind != "circle" or not isinstance(target, UnitSphere):
+        raise ShapeMismatch("degree map needs a circle mesh and a sphere target")
     t = mesh.points[:, 0]
-    return MapField(np.stack([np.cos(k * t), np.sin(k * t)], axis=1), target, mesh)
+    values = np.zeros((mesh.vertex_count, target.ambient_dim))
+    values[:, 0], values[:, 1] = np.cos(k * t), np.sin(k * t)
+    return MapField(values, target, mesh)
 
 
 def random_tangent_stack(f: MapField, rng: np.random.Generator, count: int,

@@ -11,7 +11,8 @@ second fundamental form, the flow's dissipation residual, and the icosphere
 subdivided by the per-face loop that the vectorized ``build_icosphere`` must
 match bit for bit.  The per-sample loops of the chart audit and of the
 neighbourhood sampler, with the scatter form of the W^{k,p} norm, are kept
-as references for the (V, S, n) stack code that replaced them.
+as references for the (V, S, n) stack code that replaced them, and the dense
+eigensolve of the Hessian as the reference for its banded full spectrum.
 """
 
 from __future__ import annotations
@@ -334,6 +335,13 @@ def dense_laplacian_spectrum(mesh, subset=None):
     solve; ``subset`` is an index range [lo, hi] into them."""
     return scipy.linalg.eigh(mesh.stiffness.toarray(), np.diag(mesh.area),
                              eigvals_only=True, subset_by_index=subset)
+
+
+def dense_hessian_eigenvalues(op):
+    """Every eigenvalue of the mass-symmetrized form M^{-1/2} F M^{-1/2}, ascending,
+    from a dense n x n copy."""
+    s = sp.diags(1.0 / np.sqrt(op.mass))
+    return np.linalg.eigvalsh((s @ op.form @ s).toarray())
 
 
 def dissipation_check(trace) -> float:

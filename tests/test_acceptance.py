@@ -14,6 +14,7 @@ import pytest
 from harmonicflow import (
     FlowControl,
     MapField,
+    UnitSphere,
     build_icosphere,
     bilipschitz_estimate,
     chart_pull,
@@ -37,6 +38,7 @@ from harmonicflow import (
     verify_inequality,
 )
 from harmonicflow.cli import main as cli_main
+from harmonicflow.lojasiewicz import classify_morse_bott
 from harmonicflow.meshes import l2_inner, l2_norm
 from harmonicflow.rng import stream
 
@@ -132,6 +134,23 @@ def test_criterion_05_morse_bott_kernels(ico4, s2, circle256, s1):
     report(5, ok, f"kernels: const S2 {spec_const_s2.kernel_dim}, "
                   f"const S1 {spec_const_s1.kernel_dim}, "
                   f"identity {spec_ident.kernel_dim} (gap ratio {spec_ident.gap_ratio:.1f})")
+
+
+def test_criterion_05_saddles_great_circles(circle256):
+    # the degree-k great circle in S^2 is a critical point of Morse index 2k - 1,
+    # the index of a k-fold closed geodesic (J. Milnor, Morse Theory, 1963): normal
+    # variations have eigenvalues j^2 - k^2; the kernel is the SO(3) orbit
+    rows = []
+    for k in (1, 2, 3):
+        f = degree_circle_map(circle256, UnitSphere(3), k)
+        spec = hessian_spectrum(hessian_matrix(f))
+        verdict = classify_morse_bott(spec, 3).verdict
+        rows.append((k, grad_l2_norm(f), spec.index, spec.kernel_dim, verdict))
+    ok = all(gn <= 1e-10 and index == 2 * k - 1 and kernel == 3 and verdict == "morse_bott"
+             for k, gn, index, kernel, verdict in rows)
+    report("5 (saddles)", ok, "; ".join(
+        f"k={k}: |M| {gn:.1e}, index {index}, kernel {kernel}, {verdict}"
+        for k, gn, index, kernel, verdict in rows))
 
 
 def test_criterion_06_lojasiewicz_exponent(constant_basin_trace, ico3, s2):

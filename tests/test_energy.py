@@ -1,5 +1,7 @@
+import dataclasses
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from harmonicflow import (
     TorusOfRevolution,
     UnitSphere,
     build_circle,
+    build_flat_torus,
     build_icosphere,
     constant_map,
     degree_circle_map,
@@ -25,11 +28,14 @@ from harmonicflow import (
     random_tangent_field,
     tension,
 )
-from harmonicflow.errors import NonTangentInput, NotOnTarget
+from harmonicflow.errors import EigensolveFailure, NonTangentInput, NotOnTarget, ShapeMismatch
 from harmonicflow.meshes import l2_inner, l2_norm, random_scalar_field
 from harmonicflow.rng import stream
 
-from oracles import gradient_pairing_check, hessian_apply, reference_hessian_apply, tension_via_sff
+from oracles import (
+    dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, reference_hessian_apply,
+    tension_via_sff,
+)
 
 
 def near_identity_map(mesh, s2, amplitude=0.2, seed=7):
@@ -116,6 +122,15 @@ def test_tension_constant_map_vanishes(ico3, s2):
 def test_tension_identity_circle_discretely_harmonic(circle256, s1):
     f = degree_circle_map(circle256, s1, 1)
     assert grad_l2_norm(f) <= 1e-10
+
+
+def test_degree_circle_map_is_a_great_circle_of_any_sphere(circle256, s1):
+    plane = degree_circle_map(circle256, s1, 3).values
+    for n in (3, 4):
+        vals = degree_circle_map(circle256, UnitSphere(n), 3).values
+        assert np.array_equal(vals[:, :2], plane) and not vals[:, 2:].any()
+    with pytest.raises(ShapeMismatch):
+        degree_circle_map(circle256, CliffordTorus(1), 3)
 
 
 def test_tension_degree_k_circle_harmonic(circle256, s1):
@@ -341,7 +356,7 @@ def test_hessian_spectrum_gap_and_index_with_negative_modes():
     assert spec.gap_ratio == pytest.approx(1.702, abs=1e-3)
 
 
-# map builder of each case the sparse spectrum is checked against the dense one
+# map builder of each case the sparse spectrum is checked against the full one
 SPARSE_SPECTRUM_CASES = {
     "ico3-identity": lambda mesh: identity_sphere_map(mesh, UnitSphere(3)),  # index 3
     "ico3-torus_rev-constant": lambda mesh: constant_map(mesh, TorusOfRevolution(2.0, 0.5)),
@@ -351,20 +366,85 @@ SPARSE_SPECTRUM_CASES = {
 @pytest.mark.parametrize("case", list(SPARSE_SPECTRUM_CASES))
 def test_sparse_spectrum_matches_dense(ico3, monkeypatch, case):
     # the dissection-ordered shift-invert, forced below its size limit, against
-    # dense eigvalsh: the eigenvalues nearest zero, the kernel and the index
+    # the full banded spectrum: the eigenvalues nearest zero, the kernel and the index
     op = hessian_matrix(SPARSE_SPECTRUM_CASES[case](ico3))
-    dense = hessian_spectrum(op)
+    full = hessian_spectrum(op)
     # the package exports the function ``energy`` under the module's name
     energy_module = importlib.import_module("harmonicflow.energy")
-    monkeypatch.setattr(energy_module, "DENSE_EIG_LIMIT", op.form.shape[0] - 1)
+    monkeypatch.setattr(energy_module, "FULL_SPECTRUM_LIMIT", op.form.shape[0] - 1)
     sparse = hessian_spectrum(op)
-    assert sparse.partial and not dense.partial
+    assert sparse.partial and not full.partial
     vals = np.array(sparse.eigenvalues)
-    nearest = np.sort(sorted(dense.eigenvalues, key=abs)[: vals.size])
+    nearest = np.sort(sorted(full.eigenvalues, key=abs)[: vals.size])
     assert np.max(np.abs(vals - nearest)) <= 1e-9
-    assert (sparse.kernel_dim, sparse.index) == (dense.kernel_dim, dense.index)
+    assert (sparse.kernel_dim, sparse.index) == (full.kernel_dim, full.index)
     if case == "ico3-identity":
         assert sparse.index == 3
+
+
+# the Hessians the banded full spectrum is checked on: the benchmark's decoupled
+# constant map, coupled maps into S^2, S^3 and the Clifford torus, and a saddle
+FULL_SPECTRUM_CASES = {
+    "ico3-torus_rev-axis-constant": lambda: constant_map(
+        build_icosphere(3), TorusOfRevolution(2.0, 0.5), [2.5, 0.0, 0.0]),
+    "ico3-torus_rev-perturbed": lambda: perturbed_constant_map(
+        build_icosphere(3), TorusOfRevolution(2.0, 0.5), 0.1, stream(1, "full-spectrum"),
+        [2.5, 0.0, 0.0]),
+    "ico3-identity-S2": lambda: identity_sphere_map(build_icosphere(3), UnitSphere(3)),
+    "ico2-perturbed-S3": lambda: perturbed_constant_map(
+        build_icosphere(2), UnitSphere(4), 0.1, stream(2, "full-spectrum")),
+    "flat24-perturbed-clifford": lambda: perturbed_constant_map(
+        build_flat_torus(24, 24), CliffordTorus(2), 0.1, stream(3, "full-spectrum")),
+    "circle256-degree2-S2": lambda: degree_circle_map(build_circle(256), UnitSphere(3), 2),
+}
+
+
+@pytest.mark.parametrize("case", list(FULL_SPECTRUM_CASES))
+def test_full_spectrum_matches_dense_eigensolve(case):
+    op = hessian_matrix(FULL_SPECTRUM_CASES[case]())
+    spec = hessian_spectrum(op)
+    want = dense_hessian_eigenvalues(op)
+    lam_max = want[-1]
+    assert not spec.partial and spec.basis_dim == want.size
+    vals = np.array(spec.eigenvalues)
+    assert np.max(np.abs(vals - want)) <= 1e-10 * lam_max
+    # the kernel, index and gap rules applied to the dense eigenvalues
+    tol = 1e-6 * lam_max
+    assert spec.kernel_dim == np.sum(np.abs(want) <= tol)
+    assert spec.index == np.sum(want < -tol)
+    gap = np.min(np.abs(want[np.abs(want) > tol])) / tol
+    assert spec.gap_ratio == pytest.approx(gap, rel=1e-9)
+
+
+def test_full_spectrum_memory_stays_below_a_quarter_of_a_dense_copy(ico3):
+    # one dense n x n copy of the form is n^2 * 8 bytes (12.6 MB here)
+    op = hessian_matrix(constant_map(ico3, TorusOfRevolution(2.0, 0.5), [2.5, 0.0, 0.0]))
+    n = op.form.shape[0]
+    tracemalloc.start()
+    try:
+        hessian_spectrum(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
+
+
+@pytest.mark.parametrize("branch", ["full", "sparse"])
+@pytest.mark.parametrize("entry", ["diagonal", "upper"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_form_raises_eigensolve_failure(ico2, s2, monkeypatch, branch, entry, bad):
+    # the full branch reads one triangle of the form: a non-finite entry in the
+    # other must fail too
+    op = hessian_matrix(constant_map(ico2, s2))
+    form = op.form.tocoo(copy=True)
+    pick = form.row == form.col if entry == "diagonal" else form.row < form.col
+    form.data[np.flatnonzero(pick)[7]] = bad
+    bad_op = dataclasses.replace(op, form=form.tocsr())
+    if branch == "sparse":
+        energy_module = importlib.import_module("harmonicflow.energy")
+        monkeypatch.setattr(energy_module, "FULL_SPECTRUM_LIMIT", op.form.shape[0] - 1)
+    with pytest.raises(EigensolveFailure):
+        hessian_spectrum(bad_op, n_modes=8)
 
 
 def test_dissection_order_factor_fills_less_than_colamd():
