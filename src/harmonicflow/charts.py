@@ -28,7 +28,8 @@ def pull(f: MapField, f1: np.ndarray) -> np.ndarray:
     """The tangent stack u with pi(f + u) = f1 for a (V, S, n) stack f1, vertex by
     vertex: the point of the normal segment through f1 in f + T_f N (targets.py)."""
     y = f.values[:, None, :]
-    if np.max(np.linalg.norm(y - f1, axis=-1)) >= f.target.chart_radius():
+    d = y - f1
+    if np.sqrt(np.max(row_dots(d, d))) >= f.target.chart_radius():
         raise ChartRadiusExceeded("maps too far apart to share a chart")
     u = f.target.chart_inverse(y, f1)
     f.target.require_tangent(y, u)
@@ -89,8 +90,8 @@ def bilipschitz_estimate(
         n_d = sobolev_norm(mesh, f.values[:, None, :] - f1, k, p)
         used = n_d != 0.0
         if used.any():
-            back = pull(f, f1[:, used])
-            max_rt = max(max_rt, float(np.max(np.linalg.norm(back - u[:, used], axis=-1))))
+            err = pull(f, f1[:, used]) - u[:, used]
+            max_rt = max(max_rt, float(np.sqrt(np.max(row_dots(err, err)))))
             ratios.append(n_u[used] / n_d[used])
     ratios = np.concatenate(ratios)
     c4 = max(np.max(ratios), 1.0 / np.min(ratios)) if ratios.size else 1.0

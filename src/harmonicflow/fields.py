@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
-from .meshes import SourceMesh
+from .meshes import SourceMesh, row_dots
 from .targets import EmbeddedTarget, UnitSphere
 
 
@@ -72,7 +72,7 @@ class TangentField:
         return _unchecked(cls, values=values, base=base)
 
     def linf(self) -> float:
-        return float(np.max(np.linalg.norm(self.values, axis=1)))
+        return float(np.sqrt(np.max(row_dots(self.values, self.values))))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,7 @@ class InequalityReport:
     ratio: np.ndarray  # grad_norm / gap**theta, inf at a zero gap
     min_margin: float
     min_ratio: float
+    below_count: int  # samples with E(f) < E(f_inf)
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,6 +145,7 @@ class InequalityReport:
             "min_margin": self.min_margin,
             "min_ratio": self.min_ratio,
             "sample_count": len(self.gap),
+            "below_count": self.below_count,
         }
 
 
@@ -171,11 +173,12 @@ def verify_inequality(
         cols = f.reshape(len(f), -1)
         # E as energy() forms it, squared stencil differences; M = dpi(f) (K f) / area
         df = mesh.diff @ cols
-        gaps.append(np.abs(0.5 * np.einsum("ij,ij->j", df, df).reshape(-1, n).sum(axis=1) - e_inf))
+        gaps.append(0.5 * np.einsum("ij,ij->j", df, df).reshape(-1, n).sum(axis=1) - e_inf)
         del df  # keeps a chunk's peak below malloc's trim threshold: its pages are not re-faulted
         lap = laplace_beltrami_apply(mesh, cols).reshape(f.shape)
         gns.append(grad_norm(f_inf.target.tangent_project(f, lap)))
-    gaps, gns = np.concatenate(gaps).tolist(), np.concatenate(gns).tolist()
+    signed = np.concatenate(gaps)  # E(f) - E(f_inf)
+    gaps, gns = np.abs(signed).tolist(), np.concatenate(gns).tolist()
     # scalar powers: numpy's gap**0.5 takes the sqrt path, which can differ in the last digit
     ratios = [gn / gap**theta if gap > 0 else math.inf for gap, gn in zip(gaps, gns)]
     margins = [gn - z * gap**theta for gap, gn in zip(gaps, gns)]
@@ -189,6 +192,7 @@ def verify_inequality(
         ratio=np.array(ratios, dtype=float),
         min_margin=min(margins) if margins else 0.0,
         min_ratio=min(finite) if finite else math.inf,
+        below_count=int(np.sum(signed < 0)),
     )
 
 

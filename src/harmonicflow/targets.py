@@ -185,8 +185,8 @@ class EmbeddedTarget:
         """Raise NonTangentInput unless each v is tangent to the target at y."""
         v = np.asarray(v, dtype=float)
         resid = self.tangent_project(np.asarray(y, dtype=float), v) - v
-        worst = float(np.max(np.linalg.norm(resid, axis=-1)))
-        tol = TANGENT_TOL * max(1.0, float(np.max(np.linalg.norm(v, axis=-1))))
+        worst = float(np.sqrt(np.max(row_dots(resid, resid))))
+        tol = TANGENT_TOL * max(1.0, float(np.sqrt(np.max(row_dots(v, v)))))
         if not worst <= tol:
             raise NonTangentInput(f"tangency residual {worst:.3e} > {tol:.1e}")
 
@@ -232,7 +232,7 @@ class UnitSphere(EmbeddedTarget):
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.abs(np.linalg.norm(x, axis=-1) - 1.0)
+        return np.abs(np.sqrt(row_dots(x, x)) - 1.0)
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         rho = np.sqrt(_dots(x, x))
@@ -281,8 +281,9 @@ class CliffordTorus(EmbeddedTarget):
         return x.reshape(x.shape[:-2] + (self.ambient_dim,))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        rho = np.linalg.norm(self._split(np.asarray(x, float)), axis=-1)
-        return np.linalg.norm(rho - 1.0, axis=-1)
+        pairs = self._split(np.asarray(x, float))
+        d = np.sqrt(row_dots(pairs, pairs)) - 1.0
+        return np.sqrt(row_dots(d, d))
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         pairs = self._split(x)

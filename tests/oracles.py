@@ -22,6 +22,7 @@ import json
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from harmonicflow import (
     ChartReport, MapField, TangentField, chart_pull, chart_push, energy, hessian_matrix,
@@ -342,6 +343,24 @@ def dense_hessian_eigenvalues(op):
     from a dense n x n copy."""
     s = sp.diags(1.0 / np.sqrt(op.mass))
     return np.linalg.eigvalsh((s @ op.form @ s).toarray())
+
+
+def single_band_eigenvalues(op):
+    """Every eigenvalue of M^{-1/2} F M^{-1/2}, ascending, from one lower band of the
+    whole matrix in reverse Cuthill-McKee order, whatever its components."""
+    s = sp.diags(1.0 / np.sqrt(op.mass))
+    A = (s @ op.form @ s).tocsr()
+    A.eliminate_zeros()
+    order = reverse_cuthill_mckee(A, symmetric_mode=True)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    C = A.tocoo()
+    row, col = rank[C.row], rank[C.col]
+    low = row >= col
+    offset, col = row[low] - col[low], col[low]
+    band = np.zeros((offset.max(initial=0) + 1, A.shape[0]))
+    band[offset, col] = C.data[low]
+    return scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)
 
 
 def dissipation_check(trace) -> float:

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -34,7 +35,7 @@ from harmonicflow.rng import stream
 
 from oracles import (
     dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, reference_hessian_apply,
-    tension_via_sff,
+    single_band_eigenvalues, tension_via_sff,
 )
 
 
@@ -382,26 +383,36 @@ def test_sparse_spectrum_matches_dense(ico3, monkeypatch, case):
         assert sparse.index == 3
 
 
-# the Hessians the banded full spectrum is checked on: the benchmark's decoupled
-# constant map, coupled maps into S^2, S^3 and the Clifford torus, and a saddle
+# the Hessians the banded full spectrum is checked on, with the connected components
+# of their graphs: constant maps at an axis-aligned point and the great circles
+# decouple their tangent components exactly, one component each; the perturbed and
+# identity maps couple them, except into the Clifford torus, whose energy is the sum
+# of its circle factors' at every map
 FULL_SPECTRUM_CASES = {
-    "ico3-torus_rev-axis-constant": lambda: constant_map(
-        build_icosphere(3), TorusOfRevolution(2.0, 0.5), [2.5, 0.0, 0.0]),
-    "ico3-torus_rev-perturbed": lambda: perturbed_constant_map(
+    "ico3-torus_rev-axis-constant": (lambda: constant_map(
+        build_icosphere(3), TorusOfRevolution(2.0, 0.5), [2.5, 0.0, 0.0]), 2),
+    "ico3-torus_rev-perturbed": (lambda: perturbed_constant_map(
         build_icosphere(3), TorusOfRevolution(2.0, 0.5), 0.1, stream(1, "full-spectrum"),
-        [2.5, 0.0, 0.0]),
-    "ico3-identity-S2": lambda: identity_sphere_map(build_icosphere(3), UnitSphere(3)),
-    "ico2-perturbed-S3": lambda: perturbed_constant_map(
-        build_icosphere(2), UnitSphere(4), 0.1, stream(2, "full-spectrum")),
-    "flat24-perturbed-clifford": lambda: perturbed_constant_map(
-        build_flat_torus(24, 24), CliffordTorus(2), 0.1, stream(3, "full-spectrum")),
-    "circle256-degree2-S2": lambda: degree_circle_map(build_circle(256), UnitSphere(3), 2),
+        [2.5, 0.0, 0.0]), 1),
+    "ico3-identity-S2": (lambda: identity_sphere_map(build_icosphere(3), UnitSphere(3)), 1),
+    "ico3-constant-S2": (lambda: constant_map(build_icosphere(3), UnitSphere(3)), 2),
+    "ico3-constant-S3": (lambda: constant_map(build_icosphere(3), UnitSphere(4)), 3),
+    "ico2-perturbed-S3": (lambda: perturbed_constant_map(
+        build_icosphere(2), UnitSphere(4), 0.1, stream(2, "full-spectrum")), 1),
+    "flat24-constant-clifford": (
+        lambda: constant_map(build_flat_torus(24, 24), CliffordTorus(2)), 2),
+    "flat24-perturbed-clifford": (lambda: perturbed_constant_map(
+        build_flat_torus(24, 24), CliffordTorus(2), 0.1, stream(3, "full-spectrum")), 2),
+    "circle256-degree2-S2": (
+        lambda: degree_circle_map(build_circle(256), UnitSphere(3), 2), 2),
+    "circle256-degree3-S2": (
+        lambda: degree_circle_map(build_circle(256), UnitSphere(3), 3), 2),
 }
 
 
 @pytest.mark.parametrize("case", list(FULL_SPECTRUM_CASES))
 def test_full_spectrum_matches_dense_eigensolve(case):
-    op = hessian_matrix(FULL_SPECTRUM_CASES[case]())
+    op = hessian_matrix(FULL_SPECTRUM_CASES[case][0]())
     spec = hessian_spectrum(op)
     want = dense_hessian_eigenvalues(op)
     lam_max = want[-1]
@@ -414,6 +425,41 @@ def test_full_spectrum_matches_dense_eigensolve(case):
     assert spec.index == np.sum(want < -tol)
     gap = np.min(np.abs(want[np.abs(want) > tol])) / tol
     assert spec.gap_ratio == pytest.approx(gap, rel=1e-9)
+
+
+def _count_band_solves(monkeypatch) -> list:
+    """Record the column count of each band ``eig_banded`` is called on."""
+    sizes, solve = [], scipy.linalg.eig_banded
+
+    def counted(band, *args, **kwargs):
+        sizes.append(band.shape[1])
+        return solve(band, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig_banded", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("case", list(FULL_SPECTRUM_CASES))
+def test_full_spectrum_splits_into_components(case, monkeypatch):
+    # one band per component, against the whole matrix's one band; the dense
+    # eigensolve of the same cases is the test above
+    make, components = FULL_SPECTRUM_CASES[case]
+    op = hessian_matrix(make())
+    sizes = _count_band_solves(monkeypatch)
+    vals = np.array(hessian_spectrum(op).eigenvalues)
+    assert len(sizes) == components and sum(sizes) == vals.size
+    monkeypatch.undo()
+    assert np.max(np.abs(vals - single_band_eigenvalues(op))) <= 1e-12 * vals[-1]
+
+
+def test_full_spectrum_of_a_diagonal_form_is_its_sorted_diagonal(monkeypatch):
+    # every unknown is its own component; the stored zero is eliminated, not an edge
+    diag = np.array([3.0, -1.0, 0.0, 2.5, -1.0, 7.0, 1e-9])
+    A = sp.diags(diag).tocsr()
+    energy_module = importlib.import_module("harmonicflow.energy")
+    sizes = _count_band_solves(monkeypatch)
+    assert np.array_equal(energy_module._band_eigenvalues(A), np.sort(diag))
+    assert sizes == [1] * diag.size
 
 
 def test_full_spectrum_memory_stays_below_a_quarter_of_a_dense_copy(ico3):

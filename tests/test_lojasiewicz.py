@@ -126,6 +126,25 @@ def test_verify_constant_basin_ratio(ico3, s2):
     rep = verify_inequality(samples, f_inf, 0.5, 0.9)
     assert rep.min_ratio >= 0.9
     assert rep.min_margin > 0.0
+    assert rep.below_count == 0  # the constant map is a minimizer
+
+
+def test_verify_counts_samples_below_the_limit_energy(s2):
+    # normal variations s cos(j theta) e3 of the degree-2 great circle: the Hessian
+    # eigenvalue j^2 - k^2 is 1 - 4 < 0 at j = 1 and 9 - 4 > 0 at j = 3
+    mesh = build_circle(64)
+    f_inf = degree_circle_map(mesh, s2, 2)
+
+    def normal_sample(j):
+        vals = f_inf.values.copy()
+        vals[:, 2] = 1e-2 * np.cos(j * mesh.points[:, 0])
+        return MapField(s2.project_to_target(vals), s2, mesh)
+
+    down, up = normal_sample(1), normal_sample(3)
+    assert energy(down) < energy(f_inf) < energy(up)
+    rep = verify_inequality([down, up, down], f_inf, 0.5, 0.9)
+    assert rep.below_count == rep.to_json_dict()["below_count"] == 2
+    assert verify_inequality([up], f_inf, 0.5, 0.9).below_count == 0
 
 
 def test_wrong_exponent_ratios_diverge(ico3, s2):

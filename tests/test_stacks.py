@@ -28,8 +28,8 @@ from harmonicflow import (
     verify_inequality,
 )
 from harmonicflow.charts import pull, push
-from harmonicflow.errors import ChartRadiusExceeded
-from harmonicflow.fields import random_tangent_stack
+from harmonicflow.errors import ChartRadiusExceeded, NonTangentInput
+from harmonicflow.fields import TangentField, _unchecked, random_tangent_stack
 from harmonicflow.meshes import STACK_ELEMENTS, l2_norm, sobolev_norm, stack_chunks
 from harmonicflow.rng import stream
 
@@ -201,3 +201,40 @@ def test_push_checks_each_field_of_a_stack(ico2, s2):
     far[:, 2] = -f.values  # one map at the antipode: too far for the chart
     with pytest.raises(ChartRadiusExceeded):
         pull(f, far)
+
+
+# ---------------------------------------------------------------------------
+# row norms: sqrt(row_dots(x, x)) in place of np.linalg.norm(x, axis=-1)
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+def test_row_norms_are_np_linalg_norm_bitwise(ico2, s2, bad):
+    x = np.random.default_rng(4).standard_normal((ico2.vertex_count, 17, 4))
+    if bad is not None:
+        x[5, 3, 1] = x[9, 0, 2] = bad
+    want = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
+    assert np.array_equal(UnitSphere(4).distance(x), want, equal_nan=True)
+    rho = np.linalg.norm(x.reshape(x.shape[:-1] + (2, 2)), axis=-1)
+    want = np.linalg.norm(rho - 1.0, axis=-1)
+    assert np.array_equal(CliffordTorus(2).distance(x), want, equal_nan=True)
+    f = constant_map(ico2, s2)
+    u, _ = random_tangent_stack(f, stream(2, "row-norms"), 1)
+    v = u[:, 0]
+    if bad is not None:
+        v[7, 0] = bad
+    want = np.max(np.linalg.norm(v, axis=1))
+    assert np.array_equal(_unchecked(TangentField, values=v, base=f).linf(), want,
+                          equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rows_fail_the_norm_checks(ico2, s2, bad):
+    f = constant_map(ico2, s2)
+    v = np.zeros_like(f.values)
+    v[4, 0] = bad
+    f1 = np.repeat(f.values[:, None, :], 3, axis=1)
+    f1[5, 1, 0] = bad
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonTangentInput):
+            s2.require_tangent(f.values, v)
+        with pytest.raises((ChartRadiusExceeded, NonTangentInput)):
+            pull(f, f1)
