@@ -285,8 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         description="Harmonic map energy laboratory: flows, Hessian spectra, "
         "and gradient-inequality verification on discretized closed manifolds.",
     )
-    parser.add_argument("--threads", type=int, default=1, choices=[1],
-                        help="worker threads: 1, the one implemented mode")
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("run", *ANALYSES):

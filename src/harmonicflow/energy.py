@@ -10,16 +10,18 @@ holds to rounding error rather than to discretization error: the
 finite-difference checks in the test suite bottom out near machine precision.
 
 The Hessian is assembled once, by ``hessian_matrix``, as the mass-weighted
-bilinear form in per-vertex orthonormal tangent frames B (V blocks n x dN):
+bilinear form in per-vertex orthonormal tangent frames e_x (n x dN), on K's
+block sparsity:
 
-    F = B^T K B + diag_x( a_x < d2pi(f)(e_i, e_j), Delta f > ),
+    F_xy = K_xy e_x^T e_y + [x = y] a_x < d2pi(f)(e_i, e_j), Delta f >,
 
-symmetric by the symmetry of d2pi; its lift to ambient tangent fields is
-H(f) v = B (F (B^T v)) / mass.  ``hessian_spectrum`` takes every eigenvalue of
-M^{-1/2} F M^{-1/2} up to FULL_SPECTRUM_LIMIT unknowns, from the band of each
-connected component of its graph (a decoupled tangent block gets its own) in
-reverse Cuthill-McKee order; above, the ones nearest zero, by shift-invert
-Lanczos on one sparse LU factor in nested-dissection order.
+symmetric entry for entry, as K and d2pi are; its lift to ambient tangent
+fields is H(f) v = B (F (B^T v)) / mass, B the frame injection.
+``hessian_spectrum`` takes every eigenvalue of M^{-1/2} F M^{-1/2} up to
+FULL_SPECTRUM_LIMIT unknowns, from the band of each connected component of its
+graph (a decoupled tangent block gets its own) in reverse Cuthill-McKee order;
+above, the ones nearest zero, by shift-invert Lanczos on one sparse LU factor
+in nested-dissection order, shifted below zero by a Gershgorin bound.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def tangent_frames(target: EmbeddedTarget, values: np.ndarray) -> np.ndarray:
 class HessianOperator:
     """Discrete Hessian in per-vertex tangent frames.
 
-    ``form`` is the symmetrized mass-weighted bilinear form matrix, in dN x dN
+    ``form`` is the mass-weighted bilinear form matrix, symmetric, in dN x dN
     blocks on the vertex graph of ``mesh``; the operator in the mass inner
     product is diag(1/mass) @ form.
     """
@@ -108,41 +110,28 @@ class HessianOperator:
     mesh: SourceMesh
 
 
-def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
-    """Block-diagonal matrix with the (V, r, c) stack ``blocks`` on its diagonal."""
-    V, r, c = blocks.shape
-    return sp.bsr_matrix(
-        (blocks, np.arange(V), np.arange(V + 1)), shape=(V * r, V * c)
-    ).tocsr()
-
-
 def hessian_matrix(f: MapField) -> HessianOperator:
-    """Assemble the Hessian bilinear form on the discrete tangent bundle."""
-    V, n = f.values.shape
-    dN = f.target.intrinsic_dim
+    """Assemble the Hessian bilinear form on the discrete tangent bundle, block by
+    block on K's sparsity (module docstring), symmetric entry for entry."""
+    V, dN = f.mesh.vertex_count, f.target.intrinsic_dim
     frames = tangent_frames(f.target, f.values)
+    K = f.mesh.stiffness
+    rows = np.repeat(np.arange(V), np.diff(K.indptr))
+    blocks = K.data[:, None, None] * np.einsum("kni,knj->kij", frames[rows], frames[K.indices])
 
-    B = _block_diagonal(frames)  # frame injection: coefficients -> ambient
-    Kn = sp.kron(f.mesh.stiffness, sp.identity(n, format="csr"), format="csr")
-    F = (B.T @ Kn @ B).tocsr()
-
-    # curvature block: a_x < d2pi(e_i, e_j), Delta f >
+    # curvature block on the diagonal: a_x < d2pi(e_i, e_j), Delta f >
     lap = laplace_beltrami_apply(f.mesh, f.values)
-    S = np.empty((V, dN, dN))
+    at = np.flatnonzero(rows == K.indices)  # vertex x's diagonal block: K stores every one
     for i in range(dN):
         for j in range(i, dN):
-            d2 = f.target.ambient_hessian_of_projection(
-                f.values, frames[:, :, i], frames[:, :, j]
-            )
-            S[:, i, j] = S[:, j, i] = f.mesh.area * np.einsum("vi,vi->v", d2, lap)
-    F = F + _block_diagonal(S)
+            d2 = f.target.ambient_hessian_of_projection(f.values, frames[:, :, i], frames[:, :, j])
+            blocks[at, i, j] += f.mesh.area * np.einsum("vi,vi->v", d2, lap)
+            blocks[at, j, i] = blocks[at, i, j]  # the K parts of (i, j) and (j, i) are equal
+    F = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(V * dN, V * dN)).tocsr()
 
-    anti = F - F.T
     denom = spla.norm(F) if F.nnz else 1.0
-    asym = float(spla.norm(anti) / denom) if denom > 0 else 0.0
-    F = ((F + F.T) * 0.5).tocsr()
-    mass = np.repeat(f.mesh.area, dN)
-    return HessianOperator(F, mass, asym, f.mesh)
+    asym = float(spla.norm(F - F.T) / denom) if denom > 0 else 0.0
+    return HessianOperator(F, np.repeat(f.mesh.area, dN), asym, f.mesh)
 
 
 @dataclass
@@ -197,12 +186,13 @@ def hessian_spectrum(
     Up to FULL_SPECTRUM_LIMIT unknowns every eigenvalue, from LAPACK's banded
     solver on the band of each connected component of the matrix's graph, in
     reverse Cuthill-McKee order, merged in ascending order; above, the
-    ``n_modes`` nearest zero by shift-invert around zero: ARPACK runs on the
-    solves of one LU factor of A - sigma I, its rows and columns in the mesh's
-    ``dissection_order`` (each vertex's dN unknowns together).  A form with a
-    non-finite entry raises EigensolveFailure on either path.  kernel_tol
-    defaults to 1e-6 times the largest eigenvalue.  The index counts the
-    (computed) eigenvalues below -kernel_tol.
+    ``n_modes`` nearest zero by shift-invert: ARPACK runs on the solves of one LU
+    factor of A - sigma I, its rows and columns in the mesh's ``dissection_order``
+    (each vertex's dN unknowns together), sigma = -1e-6 max(g, 1) with g =
+    max_i sum_j |A_ij| >= lambda_max (Gershgorin).  A form with a non-finite
+    entry raises EigensolveFailure on either path.  kernel_tol defaults to 1e-6
+    times the largest eigenvalue, which the sparse path finds by one more Lanczos
+    run.  The index counts the (computed) eigenvalues below -kernel_tol.
     """
     dim = op.form.shape[0]
     s = 1.0 / np.sqrt(op.mass)
@@ -215,12 +205,9 @@ def hessian_spectrum(
             vals = _band_eigenvalues(A)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise EigensolveFailure(str(exc)) from exc
-        lam_max = float(vals[-1])
         partial = False
     else:
-        k = min(n_modes, dim - 2)
-        lam_max = _largest_eigenvalue(A)
-        sigma = -1e-6 * max(lam_max, 1.0)
+        sigma = -1e-6 * max(float(abs(A).sum(axis=1).max()), 1.0)
         dN = dim // op.mesh.vertex_count
         p = (op.mesh.dissection_order[:, None] * dN + np.arange(dN)).ravel()
         inv = np.argsort(p)  # y = z[inv] solves y[p] = z
@@ -229,7 +216,7 @@ def hessian_spectrum(
             lu = spla.splu((A - sigma * sp.identity(dim))[p][:, p].tocsc(), permc_spec="NATURAL")
             v0 = np.sin(1.3 * np.arange(dim)) + 0.5
             vals = spla.eigsh(
-                A, k=k, sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+                A, k=min(n_modes, dim - 2), sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
                 OPinv=spla.LinearOperator((dim, dim), lambda x: lu.solve(x[p])[inv], dtype=float),
             )
         except Exception as exc:
@@ -237,7 +224,7 @@ def hessian_spectrum(
         vals = np.sort(vals)
         partial = True
     if kernel_tol is None:
-        kernel_tol = 1e-6 * abs(lam_max)
+        kernel_tol = 1e-6 * abs(_largest_eigenvalue(A) if partial else vals[-1])
     kernel_dim = int(np.sum(np.abs(vals) <= kernel_tol))
     # the smallest |lambda| outside the kernel band, of either sign
     above = np.abs(vals[np.abs(vals) > kernel_tol])

@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+DISSECTION_LEAF = 8  # vertices; the ico5 identity Hessian factor fills 0.75x COLAMD at 64, 0.65x at 8
+
+
 @dataclass(frozen=True, eq=False)
 class SourceMesh:
     """A closed source mesh; its stiffness spectral radius and nested-dissection
@@ -94,29 +97,41 @@ class SourceMesh:
 
     @cached_property
     def dissection_order(self) -> np.ndarray:
-        """Nested-dissection order of K's vertex graph (A. George, 1973), at first
-        use: a piece splits at the median of its widest coordinate, and its lower
-        half's vertices with upper-half neighbours (wrap-around too) go last."""
-        G = abs(self.stiffness)  # explicit zeros are no edges
-        upper = np.zeros(self.vertex_count)
-        order: list[np.ndarray] = []
-
-        def dissect(piece: np.ndarray) -> None:
-            if piece.size <= 64:
-                order.append(piece)
-                return
-            pts = self.points[piece]
-            ranked = piece[np.argsort(pts[:, np.argmax(np.ptp(pts, axis=0))], kind="stable")]
-            lo, hi = ranked[: piece.size // 2], ranked[piece.size // 2:]
-            upper[hi] = 1.0
-            cut = G[lo] @ upper > 0
-            upper[hi] = 0.0
-            dissect(lo[~cut])
-            dissect(hi)
-            order.append(lo[cut])
-
-        dissect(np.arange(self.vertex_count))
-        return np.concatenate(order)
+        """Nested-dissection order of K's vertex graph (A. George, 1973) to leaves of
+        at most DISSECTION_LEAF vertices, at first use: a piece splits at the median
+        of its widest coordinate, ties in its previous order, and its lower half's
+        vertices with upper-half neighbours (wrap-around too) go after both
+        halves.  Every piece at one depth splits at once, and each vertex is
+        placed by its base-3 path (lower half 0, upper half 1, separator 2)."""
+        r, c = sp.triu(self.stiffness, 1).nonzero()  # each edge once; explicit zeros are none
+        V = self.vertex_count
+        # each coordinate's rank among all vertices', equal coordinates alike
+        place = np.stack([np.unique(x, return_inverse=True)[1] for x in self.points.T], axis=1)
+        code, depth, rank = np.zeros(V, dtype=np.int64), np.zeros(V, dtype=np.int64), np.arange(V)
+        live = np.arange(V if V > DISSECTION_LEAF else 0)  # in pieces to split, by piece and rank
+        while live.size:
+            start = np.flatnonzero(np.diff(code[live], prepend=-1))  # where each piece starts
+            size = np.diff(start, append=live.size)
+            piece = np.repeat(np.arange(start.size), size)
+            pts = self.points[live]
+            axis = np.argmax(np.maximum.reduceat(pts, start) - np.minimum.reduceat(pts, start), axis=1)
+            # by piece, then the widest coordinate; stable, so ties keep the previous rank
+            live = live[np.argsort(piece * V + place[live, axis[piece]], kind="stable")]
+            rank[live] = np.arange(live.size)
+            upper = rank[live] - start[piece] >= size[piece] // 2
+            side = np.full(V, -1)
+            side[live] = 2 * piece + upper
+            sr, sc = side[r], side[c]
+            inside = (sr >= 0) & (sr >> 1 == sc >> 1)  # the edges within a piece
+            r, c, step = r[inside], c[inside], (sc - sr)[inside]
+            cut = np.zeros(V, dtype=bool)
+            cut[r[step == 1]] = cut[c[step == -1]] = True  # lower-half ends of edges across
+            code[live] = 3 * code[live] + np.where(cut[live], 2, upper)
+            depth[live] += 1
+            lower = size // 2 - np.bincount(piece[cut[live]], minlength=size.size)
+            child = np.where(upper, (size - size // 2)[piece], lower[piece])  # its half's size
+            live = live[~cut[live] & (child > DISSECTION_LEAF)]
+        return np.lexsort((rank, code * 3 ** (depth.max() - depth)))  # paths padded with 0s
 
 
 def _largest_eigenvalue(A: sp.spmatrix) -> float:

@@ -4,15 +4,17 @@ These deliberately avoid the closed forms under test: projections are checked
 against brute-force minimization, derivatives against central finite
 differences, and energies against analytic integrals.  The file also holds
 reference derivations the package defines only once: the tension through the
-second fundamental form, the Hessian action contracted from d2pi directly,
-and the stiffness matrices from their stencil weights; and what only tests
-apply: the Hessian action as the assembled form lifted to ambient fields, the
-second fundamental form, the flow's dissipation residual, and the icosphere
-subdivided by the per-face loop that the vectorized ``build_icosphere`` must
-match bit for bit.  The per-sample loops of the chart audit and of the
-neighbourhood sampler, with the scatter form of the W^{k,p} norm, are kept
-as references for the (V, S, n) stack code that replaced them, and the dense
-eigensolve of the Hessian as the reference for its banded full spectrum.
+second fundamental form, the Hessian action contracted from d2pi directly, the
+Hessian form as a triple product through the frame injection, the nested
+dissection by recursion, and the stiffness matrices from their stencil
+weights; and what only tests apply: the Hessian action as the assembled form
+lifted to ambient fields, the second fundamental form, the flow's dissipation
+residual, and the icosphere subdivided by the per-face loop that the
+vectorized ``build_icosphere`` must match bit for bit.  The per-sample loops of
+the chart audit and of the neighbourhood sampler, with the scatter form of the
+W^{k,p} norm, are kept as references for the (V, S, n) stack code that
+replaced them, and the dense eigensolve of the Hessian as the reference for
+its banded full spectrum.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from harmonicflow import (
     ChartReport, MapField, TangentField, chart_pull, chart_push, energy, hessian_matrix,
     random_tangent_field, tension,
 )
-from harmonicflow.energy import _block_diagonal, tangent_frames
+from harmonicflow.energy import tangent_frames
 from harmonicflow.errors import (
     ChartRadiusExceeded, InadmissibleExponents, InsufficientSamples, UnsupportedOrder,
 )
@@ -307,6 +309,32 @@ def gradient_pairing_check(f, u, h_step: float) -> float:
     return abs(fd - l2_inner(mesh, u.values, tension(f).values))
 
 
+def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
+    """Block-diagonal matrix with the (V, r, c) stack ``blocks`` on its diagonal."""
+    V, r, c = blocks.shape
+    return sp.bsr_matrix(
+        (blocks, np.arange(V), np.arange(V + 1)), shape=(V * r, V * c)
+    ).tocsr()
+
+
+def triple_product_hessian_form(f) -> sp.csr_matrix:
+    """The Hessian form as B^T (K kron I_n) B plus the curvature blocks, B the frame
+    injection, symmetrized as (F + F^T)/2: the assembly ``hessian_matrix`` replaced."""
+    V, n = f.values.shape
+    dN = f.target.intrinsic_dim
+    frames = tangent_frames(f.target, f.values)
+    B = _block_diagonal(frames)
+    Kn = sp.kron(f.mesh.stiffness, sp.identity(n, format="csr"), format="csr")
+    lap = laplace_beltrami_apply(f.mesh, f.values)
+    S = np.empty((V, dN, dN))
+    for i in range(dN):
+        for j in range(i, dN):
+            d2 = f.target.ambient_hessian_of_projection(f.values, frames[:, :, i], frames[:, :, j])
+            S[:, i, j] = S[:, j, i] = f.mesh.area * np.einsum("vi,vi->v", d2, lap)
+    F = (B.T @ Kn @ B).tocsr() + _block_diagonal(S)
+    return ((F + F.T) * 0.5).tocsr()
+
+
 def hessian_apply(f, v):
     """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
     B = _block_diagonal(tangent_frames(f.target, f.values))
@@ -329,6 +357,31 @@ def reference_hessian_apply(f, v):
         )
         g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
     return TangentField.project(lap_v + g, f)
+
+
+def recursive_dissection_order(mesh, leaf: int) -> np.ndarray:
+    """The nested-dissection order of ``SourceMesh.dissection_order`` by recursion,
+    one piece at a time, to leaves of at most ``leaf`` vertices."""
+    G = abs(mesh.stiffness)  # explicit zeros are no edges
+    upper = np.zeros(mesh.vertex_count)
+    order: list[np.ndarray] = []
+
+    def dissect(piece: np.ndarray) -> None:
+        if piece.size <= leaf:
+            order.append(piece)
+            return
+        pts = mesh.points[piece]
+        ranked = piece[np.argsort(pts[:, np.argmax(np.ptp(pts, axis=0))], kind="stable")]
+        lo, hi = ranked[: piece.size // 2], ranked[piece.size // 2:]
+        upper[hi] = 1.0
+        cut = G[lo] @ upper > 0
+        upper[hi] = 0.0
+        dissect(lo[~cut])
+        dissect(hi)
+        order.append(lo[cut])
+
+    dissect(np.arange(mesh.vertex_count))
+    return np.concatenate(order)
 
 
 def dense_laplacian_spectrum(mesh, subset=None):

@@ -287,7 +287,7 @@ grad_tol = 1e-8
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert cli_main(["--threads", "1", "run", str(path), "--out", str(out)]) == 0
+        assert cli_main(["run", str(path), "--out", str(out)]) == 0
         outs.append(out)
     manifests = [json.loads((o / "run_manifest.json").read_text()) for o in outs]
     same_files = True

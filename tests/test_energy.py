@@ -35,7 +35,7 @@ from harmonicflow.rng import stream
 
 from oracles import (
     dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, reference_hessian_apply,
-    single_band_eigenvalues, tension_via_sff,
+    single_band_eigenvalues, tension_via_sff, triple_product_hessian_form,
 )
 
 
@@ -383,6 +383,29 @@ def test_sparse_spectrum_matches_dense(ico3, monkeypatch, case):
         assert sparse.index == 3
 
 
+@pytest.mark.parametrize("case", list(SPARSE_SPECTRUM_CASES))
+def test_sparse_spectrum_runs_a_largest_eigenvalue_lanczos_only_for_the_default_tol(
+        ico3, monkeypatch, case):
+    # the shift comes from the Gershgorin bound; lambda_max is needed only for
+    # the default kernel_tol, 1e-6 lambda_max, as the full spectrum reads it
+    op = hessian_matrix(SPARSE_SPECTRUM_CASES[case](ico3))
+    full = hessian_spectrum(op)
+    energy_module = importlib.import_module("harmonicflow.energy")
+    monkeypatch.setattr(energy_module, "FULL_SPECTRUM_LIMIT", op.form.shape[0] - 1)
+    calls, largest = [], energy_module._largest_eigenvalue
+
+    def counted(A):
+        calls.append(A.shape)
+        return largest(A)
+
+    monkeypatch.setattr(energy_module, "_largest_eigenvalue", counted)
+    assert hessian_spectrum(op, kernel_tol=0.1, n_modes=8).kernel_tol == 0.1
+    assert calls == []
+    sparse = hessian_spectrum(op, n_modes=8)
+    assert len(calls) == 1
+    assert sparse.kernel_tol == pytest.approx(full.kernel_tol, rel=1e-12)
+
+
 # the Hessians the banded full spectrum is checked on, with the connected components
 # of their graphs: constant maps at an axis-aligned point and the great circles
 # decouple their tangent components exactly, one component each; the perturbed and
@@ -425,6 +448,18 @@ def test_full_spectrum_matches_dense_eigensolve(case):
     assert spec.index == np.sum(want < -tol)
     gap = np.min(np.abs(want[np.abs(want) > tol])) / tol
     assert spec.gap_ratio == pytest.approx(gap, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", list(FULL_SPECTRUM_CASES))
+def test_hessian_form_is_symmetric_and_the_triple_product(case):
+    # assembled block by block on K's sparsity, the form needs no symmetrizing
+    f = FULL_SPECTRUM_CASES[case][0]()
+    op = hessian_matrix(f)
+    assert (op.form != op.form.T).nnz == 0
+    assert op.asymmetry_rel == 0.0
+    want = triple_product_hessian_form(f)
+    scale = np.max(np.abs(want.data))
+    assert np.max(np.abs((op.form - want).data), initial=0.0) <= 1e-13 * scale
 
 
 def _count_band_solves(monkeypatch) -> list:
@@ -503,4 +538,4 @@ def test_dissection_order_factor_fills_less_than_colamd():
     p = (mesh.dissection_order[:, None] * 2 + np.arange(2)).ravel()
     nested = spla.splu(A[p][:, p], permc_spec="NATURAL")
     colamd = spla.splu(A, permc_spec="COLAMD")
-    assert nested.L.nnz + nested.U.nnz <= 0.85 * (colamd.L.nnz + colamd.U.nnz)
+    assert nested.L.nnz + nested.U.nnz <= 0.70 * (colamd.L.nnz + colamd.U.nnz)

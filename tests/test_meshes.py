@@ -34,6 +34,7 @@ from oracles import (
     cartesian_icosphere_stencil,
     dense_laplacian_spectrum,
     loop_icosphere,
+    recursive_dissection_order,
     reference_stiffness,
 )
 
@@ -273,15 +274,32 @@ def test_icosphere_subdivision_matches_per_face_loop_bitwise(level, monkeypatch)
         assert a.shape == b.shape and (a != b).nnz == 0, name
 
 
-@pytest.mark.parametrize("spec", [
+DISSECTION_SPECS = [
     {"kind": "circle", "n": 200},
     {"kind": "flat_torus", "nu": 8, "nv": 12},
     {"kind": "flat_torus", "nu": 40, "nv": 24},
     {"kind": "icosphere", "level": 3},
-], ids=lambda spec: "-".join(str(v) for v in spec.values()))
+]
+
+
+def _spec_id(spec):
+    return "-".join(str(v) for v in spec.values())
+
+
+@pytest.mark.parametrize("spec", DISSECTION_SPECS, ids=_spec_id)
 def test_dissection_order_is_a_permutation(spec):
     order = build_source(spec).dissection_order
     assert np.array_equal(np.sort(order), np.arange(order.size))
+
+
+@pytest.mark.parametrize("leaf", [8, 64])
+@pytest.mark.parametrize("spec", DISSECTION_SPECS, ids=_spec_id)
+def test_dissection_order_is_the_recursive_dissection(spec, leaf, monkeypatch):
+    # every piece of one depth split at once, against one piece at a time: the
+    # same split, separators and post-order, so the same permutation
+    monkeypatch.setattr(meshes_module, "DISSECTION_LEAF", leaf)
+    mesh = build_source(spec)
+    assert np.array_equal(mesh.dissection_order, recursive_dissection_order(mesh, leaf))
 
 
 def test_sobolev_norm_constant_k0(ico4):

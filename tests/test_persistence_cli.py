@@ -774,9 +774,14 @@ def test_cli_overflowing_amplitude_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("threads", ["2", "0"])
 def test_cli_threads_other_than_one_exit_2(tmp_path, threads):
+    # there is no --threads flag: the run is single-threaded, and the flag is an
+    # unknown argument at any value, 1 included
     path = write_cfg(tmp_path, BASE_CFG.format(analyses=""))
     with pytest.raises(SystemExit) as exc:
         cli_main(["--threads", threads, "run", path, "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--threads", "1", "run", path, "--out", str(tmp_path / "o")])
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
 
