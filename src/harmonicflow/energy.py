@@ -10,13 +10,13 @@ holds to rounding error rather than to discretization error: the
 finite-difference checks in the test suite bottom out near machine precision.
 
 The Hessian is assembled once, by ``hessian_matrix``, as the mass-weighted
-bilinear form in per-vertex orthonormal tangent frames e_x (n x dN), on K's
-block sparsity:
+bilinear form in the target's per-vertex orthonormal tangent frames e_x
+(n x dN), on K's block sparsity:
 
     F_xy = K_xy e_x^T e_y + [x = y] a_x < d2pi(f)(e_i, e_j), Delta f >,
 
-symmetric entry for entry, as K and d2pi are; its lift to ambient tangent
-fields is H(f) v = B (F (B^T v)) / mass, B the frame injection.
+symmetric entry for entry, as K and d2pi are, with no stored zeros; its lift to
+ambient tangent fields is H(f) v = B (F (B^T v)) / mass, B the frame injection.
 ``hessian_spectrum`` takes every eigenvalue of M^{-1/2} F M^{-1/2} up to
 FULL_SPECTRUM_LIMIT unknowns, from the band of each connected component of its
 graph (a decoupled tangent block gets its own) in reverse Cuthill-McKee order;
@@ -36,14 +36,12 @@ import scipy.sparse.linalg as spla
 from .errors import EigensolveFailure
 from .fields import MapField, TangentField
 from .meshes import SourceMesh, _largest_eigenvalue, l2_norm, laplace_beltrami_apply
-from .targets import EmbeddedTarget
 
 __all__ = [
     "energy",
     "tension",
     "hessian_matrix",
     "hessian_spectrum",
-    "tangent_frames",
     "grad_l2_norm",
     "HessianOperator",
     "HessianSpectrum",
@@ -73,28 +71,6 @@ def grad_l2_norm(f: MapField) -> float:
 # ---------------------------------------------------------------------------
 # Hessian
 
-def tangent_frames(target: EmbeddedTarget, values: np.ndarray) -> np.ndarray:
-    """Per-vertex orthonormal tangent frames, shape (V, n, dN).
-
-    Columns of the projector are orthogonalized with a deterministic pivot
-    order: largest remaining diagonal first, ties broken by lowest index.
-    """
-    P = target.tangent_projector(values)
-    V, n = values.shape
-    dN = target.intrinsic_dim
-    Q = P.copy()
-    frames = np.empty((V, n, dN))
-    for j in range(dN):
-        diag = np.diagonal(Q, axis1=1, axis2=2)
-        # argmax returns the first of equal maxima: the lowest-index tie-break
-        pick = np.argmax(diag, axis=1)
-        col = np.take_along_axis(Q, pick[:, None, None], axis=2)[:, :, 0]
-        col = col / np.linalg.norm(col, axis=1, keepdims=True)
-        frames[:, :, j] = col
-        Q = Q - col[:, :, None] * col[:, None, :]
-    return frames
-
-
 @dataclass(eq=False)
 class HessianOperator:
     """Discrete Hessian in per-vertex tangent frames.
@@ -112,9 +88,10 @@ class HessianOperator:
 
 def hessian_matrix(f: MapField) -> HessianOperator:
     """Assemble the Hessian bilinear form on the discrete tangent bundle, block by
-    block on K's sparsity (module docstring), symmetric entry for entry."""
+    block on K's sparsity (module docstring), symmetric entry for entry, exact zeros
+    dropped; a MapField is on target, so neither frames nor d2pi check it again."""
     V, dN = f.mesh.vertex_count, f.target.intrinsic_dim
-    frames = tangent_frames(f.target, f.values)
+    frames = f.target.tangent_frames(f.values)
     K = f.mesh.stiffness
     rows = np.repeat(np.arange(V), np.diff(K.indptr))
     blocks = K.data[:, None, None] * np.einsum("kni,knj->kij", frames[rows], frames[K.indices])
@@ -124,10 +101,11 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     at = np.flatnonzero(rows == K.indices)  # vertex x's diagonal block: K stores every one
     for i in range(dN):
         for j in range(i, dN):
-            d2 = f.target.ambient_hessian_of_projection(f.values, frames[:, :, i], frames[:, :, j])
+            d2 = f.target._d2_projection(f.values, frames[:, :, i], frames[:, :, j])
             blocks[at, i, j] += f.mesh.area * np.einsum("vi,vi->v", d2, lap)
             blocks[at, j, i] = blocks[at, i, j]  # the K parts of (i, j) and (j, i) are equal
     F = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(V * dN, V * dN)).tocsr()
+    F.eliminate_zeros()  # the blocks' exact zeros, as of decoupled tangent components
 
     denom = spla.norm(F) if F.nnz else 1.0
     asym = float(spla.norm(F - F.T) / denom) if denom > 0 else 0.0
@@ -152,11 +130,10 @@ FULL_SPECTRUM_LIMIT = 3000
 
 
 def _band_eigenvalues(A: sp.csr_matrix) -> np.ndarray:
-    """Every eigenvalue of the symmetric A, ascending, one graph component's RCM band at a time."""
+    """Every eigenvalue of the symmetric A, ascending, one graph component's RCM band at a
+    time; a stored zero would count as an edge, and the caller's diag(s) F diag(s) has none."""
     # imported here: about 1 MB of RSS that runs without a full spectrum do not pay
     from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
-    A = A.copy()
-    A.eliminate_zeros()  # a stored zero is no edge
     count, labels = connected_components(A, directed=False)
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
     order = order[np.argsort(labels[order], kind="stable")]  # component c: order[labels[order] == c]

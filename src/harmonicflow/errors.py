@@ -49,12 +49,6 @@ class ChartRadiusExceeded(HarmonicFlowError):
     """Requested displacement leaves the safe chart radius."""
 
 
-# -- flow ------------------------------------------------------------------
-
-class InsufficientSamples(HarmonicFlowError):
-    """Trace does not contain enough samples for the requested analysis."""
-
-
 # -- lojasiewicz -----------------------------------------------------------
 
 class InsufficientDecades(HarmonicFlowError):

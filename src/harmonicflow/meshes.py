@@ -224,21 +224,9 @@ def build_flat_torus(nu: int, nv: int, lu: float = FLAT_TORUS_SIDE, lv: float = 
     points = np.stack([iu * hu, iv * hv], axis=1)
     area = np.full(V, hu * hv)
 
-    def vid(a, b):
-        return (a % nu) * nv + (b % nv)
-
-    wu, wv = hv / hu, hu / hv
-    edges_i, edges_j, edges_w = [], [], []
-    edges_i.append(np.arange(V))
-    edges_j.append(vid(iu + 1, iv))
-    edges_w.append(np.full(V, wu))
-    edges_i.append(np.arange(V))
-    edges_j.append(vid(iu, iv + 1))
-    edges_w.append(np.full(V, wv))
-    ei = np.concatenate(edges_i)
-    ej = np.concatenate(edges_j)
-    ew = np.concatenate(edges_w)
-
+    ei = np.tile(np.arange(V), 2)
+    ej = np.concatenate([(iu + 1) % nu * nv + iv, iu * nv + (iv + 1) % nv])  # u-, then v-neighbours
+    ew = np.repeat([hv / hu, hu / hv], V)
     D, scatter = _edge_diff(ei, ej, ew, V)
     spec = {"kind": "flat_torus", "nu": nu, "nv": nv, "lu": lu, "lv": lv}
     u = 2.0 * math.pi * points[:, 0] / lu

@@ -17,9 +17,11 @@ which on the unit sphere (nu = y, S = identity) gives A(y)(v, v) = |v|^2 y.
 This is the sign that makes Delta f = A(f)(df, df) hold for the identity map
 with the nonnegative Laplacian convention used by the meshes.
 
-The chart inverse needs nu alone.  Inside the tube the fibre pi^{-1}(y1) is
-the normal segment y1 + t nu(y1) (R. L. Foote, Proc. AMS 92, 1984), so the
-tangent u at y with pi(y + u) = y1 is that segment's one point in y + T_y N:
+The tangent frames and the chart inverse need nu alone.  The Householder
+reflection sending an axis e_c to a multiple of nu sends the others to a basis
+of T_y N.  Inside the tube the fibre pi^{-1}(y1) is the normal segment
+y1 + t nu(y1) (R. L. Foote, Proc. AMS 92, 1984), so the tangent u at y with
+pi(y + u) = y1 is that segment's one point in y + T_y N:
 
     u = y1 + t nu(y1) - y,   t = -nu(y) . (y1 - y) / (nu(y) . nu(y1)).
 
@@ -134,6 +136,22 @@ class EmbeddedTarget:
     def tangent_project(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         """dpi(y) v: the tangent part of v at y; broadcasts y against v."""
         return self._join(_tangent_part(self._normal(y), self._split(v)))
+
+    def tangent_frames(self, y: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent frames at y, (..., n, dN): per factor, the columns but c of
+        the Householder reflection I - 2 w w^T / w^T w, w = nu + sign(nu_c) e_c, c the first
+        largest |nu_c|, which sends e_c to -sign(nu_c) nu; zero outside the factor."""
+        nu = self._normal(np.asarray(y, dtype=float))
+        m = nu.shape[-1]
+        nu = nu.reshape(np.shape(y)[:-1] + (-1, m))  # (..., k factors, m), in ambient order
+        c = np.argmax(np.abs(nu), axis=-1)[..., None]
+        pivot = np.arange(m) == c
+        w = nu + np.copysign(pivot, np.take_along_axis(nu, c, -1))
+        keep = np.argsort(pivot, axis=-1, kind="stable")[..., :-1]  # every column but c, ascending
+        scale = 2.0 * np.take_along_axis(w, keep, -1) / _dots(w, w)
+        cols = (np.arange(m)[:, None] == keep[..., None, :]) - w[..., :, None] * scale[..., None, :]
+        *batch, k, _ = nu.shape
+        return np.einsum("...iab,ij->...iajb", cols, np.eye(k)).reshape(*batch, k * m, k * (m - 1))
 
     def _d2_projection(self, y: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return self._join(_d2_hypersurface(

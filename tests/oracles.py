@@ -5,11 +5,12 @@ against brute-force minimization, derivatives against central finite
 differences, and energies against analytic integrals.  The file also holds
 reference derivations the package defines only once: the tension through the
 second fundamental form, the Hessian action contracted from d2pi directly, the
-Hessian form as a triple product through the frame injection, the nested
-dissection by recursion, and the stiffness matrices from their stencil
-weights; and what only tests apply: the Hessian action as the assembled form
-lifted to ambient fields, the second fundamental form, the flow's dissipation
-residual, and the icosphere subdivided by the per-face loop that the
+tangent frames by Gram-Schmidt on the projector, the Hessian form as a triple
+product through the frame injection, the nested dissection by recursion, and
+the stiffness matrices from their stencil weights; and what only tests apply:
+the Hessian action as the assembled form lifted to ambient fields, the second
+fundamental form, the flow's dissipation residual with its error for too short
+a trace, and the icosphere subdivided by the per-face loop that the
 vectorized ``build_icosphere`` must match bit for bit.  The per-sample loops of
 the chart audit and of the neighbourhood sampler, with the scatter form of the
 W^{k,p} norm, are kept as references for the (V, S, n) stack code that
@@ -30,14 +31,17 @@ from harmonicflow import (
     ChartReport, MapField, TangentField, chart_pull, chart_push, energy, hessian_matrix,
     random_tangent_field, tension,
 )
-from harmonicflow.energy import tangent_frames
 from harmonicflow.errors import (
-    ChartRadiusExceeded, InadmissibleExponents, InsufficientSamples, UnsupportedOrder,
+    ChartRadiusExceeded, HarmonicFlowError, InadmissibleExponents, UnsupportedOrder,
 )
 from harmonicflow.meshes import (
     SOBOLEV_ORDERS, _check_field, _icosahedron, l2_inner, laplace_beltrami_apply,
 )
 from harmonicflow.rng import stream
+
+
+class InsufficientSamples(HarmonicFlowError):
+    """Trace does not contain enough samples for the requested analysis."""
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -317,12 +321,29 @@ def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
     ).tocsr()
 
 
+def projector_frames(target, values: np.ndarray) -> np.ndarray:
+    """Per-vertex orthonormal tangent frames, shape (V, n, dN), by pivoted
+    Gram-Schmidt on the columns of the tangent projector: largest remaining
+    diagonal first, ties broken by lowest index."""
+    Q = target.tangent_projector(values)
+    V, n = values.shape
+    frames = np.empty((V, n, target.intrinsic_dim))
+    for j in range(target.intrinsic_dim):
+        diag = np.diagonal(Q, axis1=1, axis2=2)
+        pick = np.argmax(diag, axis=1)  # the first of equal maxima: the lowest index
+        col = np.take_along_axis(Q, pick[:, None, None], axis=2)[:, :, 0]
+        col = col / np.linalg.norm(col, axis=1, keepdims=True)
+        frames[:, :, j] = col
+        Q = Q - col[:, :, None] * col[:, None, :]
+    return frames
+
+
 def triple_product_hessian_form(f) -> sp.csr_matrix:
     """The Hessian form as B^T (K kron I_n) B plus the curvature blocks, B the frame
     injection, symmetrized as (F + F^T)/2: the assembly ``hessian_matrix`` replaced."""
     V, n = f.values.shape
     dN = f.target.intrinsic_dim
-    frames = tangent_frames(f.target, f.values)
+    frames = f.target.tangent_frames(f.values)  # the form's own frames: compared entry by entry
     B = _block_diagonal(frames)
     Kn = sp.kron(f.mesh.stiffness, sp.identity(n, format="csr"), format="csr")
     lap = laplace_beltrami_apply(f.mesh, f.values)
@@ -337,7 +358,7 @@ def triple_product_hessian_form(f) -> sp.csr_matrix:
 
 def hessian_apply(f, v):
     """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
-    B = _block_diagonal(tangent_frames(f.target, f.values))
+    B = _block_diagonal(f.target.tangent_frames(f.values))
     op = hessian_matrix(f)
     hv = B @ ((op.form @ (B.T @ v.values.ravel())) / op.mass)
     return TangentField(hv.reshape(v.values.shape), f)

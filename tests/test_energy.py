@@ -32,10 +32,11 @@ from harmonicflow import (
 from harmonicflow.errors import EigensolveFailure, NonTangentInput, NotOnTarget, ShapeMismatch
 from harmonicflow.meshes import l2_inner, l2_norm, random_scalar_field
 from harmonicflow.rng import stream
+from harmonicflow.targets import EmbeddedTarget
 
 from oracles import (
-    dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, reference_hessian_apply,
-    single_band_eigenvalues, tension_via_sff, triple_product_hessian_form,
+    dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, projector_frames,
+    reference_hessian_apply, single_band_eigenvalues, tension_via_sff, triple_product_hessian_form,
 )
 
 
@@ -462,6 +463,48 @@ def test_hessian_form_is_symmetric_and_the_triple_product(case):
     assert np.max(np.abs((op.form - want).data), initial=0.0) <= 1e-13 * scale
 
 
+def test_hessian_form_stores_no_zeros(ico3):
+    # the constant map at (2.5, 0, 0) decouples the tangent components: each
+    # dN x dN block is diagonal, and its off-diagonal zeros are not stored
+    op = hessian_matrix(constant_map(ico3, TorusOfRevolution(2.0, 0.5), [2.5, 0.0, 0.0]))
+    assert op.form.nnz > 0
+    assert np.count_nonzero(op.form.data == 0.0) == 0
+
+
+# every map the full and sparse spectra are checked on, as zero-argument builders
+SPECTRUM_MAPS = {
+    **{case: make for case, (make, _) in FULL_SPECTRUM_CASES.items()},
+    **{f"sparse-{case}": (lambda make=make: make(build_icosphere(3)))
+       for case, make in SPARSE_SPECTRUM_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(SPECTRUM_MAPS))
+def test_hessian_eigenvalues_do_not_depend_on_the_frames(case, monkeypatch):
+    # the Householder frames from nu against Gram-Schmidt on the projector: the
+    # form changes by an orthogonal change of basis per vertex, its spectrum not
+    f = SPECTRUM_MAPS[case]()
+    vals = np.array(hessian_spectrum(hessian_matrix(f)).eigenvalues)
+    monkeypatch.setattr(EmbeddedTarget, "tangent_frames", projector_frames)
+    want = np.array(hessian_spectrum(hessian_matrix(f)).eigenvalues)
+    assert np.max(np.abs(vals - want)) <= 1e-12 * want[-1]
+
+
+def test_hessian_matrix_does_not_recheck_its_map(monkeypatch):
+    # a MapField is on target by construction: the assembly builds no projector
+    # and checks no point
+    f = FULL_SPECTRUM_CASES["ico3-torus_rev-perturbed"][0]()
+    calls = {}
+    for name in ("require_on_target", "tangent_projector", "ambient_hessian_of_projection"):
+        def counted(self, *args, _name=name, _method=getattr(EmbeddedTarget, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(EmbeddedTarget, name, counted)
+    hessian_matrix(f)
+    assert calls == {}
+
+
 def _count_band_solves(monkeypatch) -> list:
     """Record the column count of each band ``eig_banded`` is called on."""
     sizes, solve = [], scipy.linalg.eig_banded
@@ -488,7 +531,8 @@ def test_full_spectrum_splits_into_components(case, monkeypatch):
 
 
 def test_full_spectrum_of_a_diagonal_form_is_its_sorted_diagonal(monkeypatch):
-    # every unknown is its own component; the stored zero is eliminated, not an edge
+    # every unknown is its own component; a stored zero on the diagonal is a self-loop,
+    # not an edge
     diag = np.array([3.0, -1.0, 0.0, 2.5, -1.0, 7.0, 1e-9])
     A = sp.diags(diag).tocsr()
     energy_module = importlib.import_module("harmonicflow.energy")

@@ -18,13 +18,13 @@ from harmonicflow import (
     tension,
 )
 import harmonicflow.flow as flow_module
-from harmonicflow.errors import ConfigError, InsufficientSamples
+from harmonicflow.errors import ConfigError
 from harmonicflow.flow import FlowTrace
 from harmonicflow.targets import EmbeddedTarget, TorusOfRevolution
 from harmonicflow.meshes import l2_norm
 from harmonicflow.rng import stream
 
-from oracles import dissipation_check
+from oracles import InsufficientSamples, dissipation_check
 
 
 def _step_with(f, m, dt):

@@ -254,6 +254,42 @@ def test_require_on_target_rejects_non_finite(target):
             target.require_on_target(y_bad)
 
 
+# points whose normal has a negative largest coordinate or tied largest |nu_c|
+FRAME_EDGE_POINTS = {
+    "sphere2": [[0.0, -1.0], [-1.0, 1.0], [1.0, -1.0]],
+    "sphere3": [[0.0, 0.0, -1.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [-1.0, -1.0, -1.0]],
+    "sphere4": [[0.0, 0.0, 0.0, -1.0], [-1.0, 1.0, -1.0, 1.0], [0.0, -1.0, 0.0, -1.0]],
+    "clifford_torus2": [[-1.0, 0.0], [1.0, -1.0], [0.0, -1.0]],
+    "clifford_torus4": [[-1.0, 0.0, 1.0, -1.0], [0.0, -1.0, -1.0, -1.0]],
+    "clifford_torus6": [[-1.0, 0.0, 1.0, -1.0, 0.0, -1.0], [1.0, 1.0, -1.0, -1.0, 0.0, 1.0]],
+    "torus_rev3": [[2.0, 0.0, -0.5], [0.0, -2.5, 0.0], [0.0, 1.5, 0.0], [-2.3, 0.0, 0.3]],
+}
+
+
+@pytest.mark.parametrize(
+    "target",
+    [UnitSphere(2), UnitSphere(3), UnitSphere(4), CliffordTorus(1), CliffordTorus(2),
+     CliffordTorus(3), TorusOfRevolution(2.0, 0.5)],
+    ids=lambda t: t.kind + str(t.ambient_dim),
+)
+def test_tangent_frames_are_orthonormal_and_span_the_tangent_space(target):
+    # the Householder frames from nu against the projector: E^T E = I, E E^T = P
+    rng = np.random.default_rng(11)
+    y = np.concatenate([
+        random_on_target(target, rng, 500),
+        target.project_to_target(np.array(FRAME_EDGE_POINTS[target.kind + str(target.ambient_dim)])),
+    ])
+    E = target.tangent_frames(y)
+    dN = target.intrinsic_dim
+    assert E.shape == (y.shape[0], target.ambient_dim, dN)
+    assert np.max(np.abs(np.einsum("vni,vnj->vij", E, E) - np.eye(dN))) <= 1e-15
+    assert np.max(np.abs(np.einsum("vni,vmi->vnm", E, E) - target.tangent_projector(y))) <= 1e-15
+    if target.kind == "clifford_torus":
+        # column j lies in circle factor j's coordinate plane
+        inside = np.kron(np.eye(dN), np.ones((2, 1))).astype(bool)
+        assert np.all(E[:, ~inside] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # second fundamental form and projection Hessian
 
