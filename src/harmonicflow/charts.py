@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,6 @@ class ChartReport:
     max_roundtrip_error: float
     sample_count: int
     radius_used: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def bilipschitz_estimate(

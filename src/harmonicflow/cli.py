@@ -23,6 +23,7 @@ import hashlib
 import os
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -144,9 +145,9 @@ class _Run:
         lo = self.scn.loja_fit["window_lo"]
         window = (lo, self.scn.loja_fit["window_hi"]) if lo is not None else None
         fit = loja.fit_exponent(self.trace, self.trace.final, window=window)
-        payload = fit.to_json_dict()
+        payload = asdict(fit)
         try:
-            payload["convergence"] = loja.convergence_classifier(self.trace).to_json_dict()
+            payload["convergence"] = asdict(loja.convergence_classifier(self.trace))
         except HarmonicFlowError:
             payload["convergence"] = None
         write_json(payload, self.record("loja_fit.json"))
@@ -161,12 +162,12 @@ class _Run:
         spec = hessian_spectrum(
             op, kernel_tol=hs["kernel_tol"], n_modes=hs["n_modes"]
         )
-        payload = spec.to_json_dict()
+        payload = asdict(spec)
         payload["asymmetry_rel"] = op.asymmetry_rel
         write_json(payload, self.record("hessian_spectrum.json"))
         if expected is not None:
             report = loja.classify_morse_bott(spec, expected)
-            write_json(report.to_json_dict(), self.record("morse_bott.json"))
+            write_json(asdict(report), self.record("morse_bott.json"))
 
     def verify_verdict(self) -> loja.ExponentVerdict:
         """The [verify] (d, k, p) verdict; InadmissibleExponents unless admissible."""
@@ -208,7 +209,7 @@ class _Run:
             norm=(ca["k"], ca["p"]),
             seed=self.scn.seed,
         )
-        write_json(report.to_json_dict(), self.record("chart_report.json"))
+        write_json(asdict(report), self.record("chart_report.json"))
 
     def run_mult_probe(self):
         mp = self.scn.mult_probe

@@ -13,10 +13,10 @@ The Hessian is assembled once, by ``hessian_matrix``, as the mass-weighted
 bilinear form in the target's per-vertex orthonormal tangent frames e_x
 (n x dN), on K's block sparsity:
 
-    F_xy = K_xy e_x^T e_y + [x = y] a_x < d2pi(f)(e_i, e_j), Delta f >,
+    F_xy = K_xy e_x^T e_y + [x = y] a_x < d2pi(f)(e_i, Delta f), e_j >,
 
-symmetric entry for entry, as K and d2pi are, with no stored zeros; its lift to
-ambient tangent fields is H(f) v = B (F (B^T v)) / mass, B the frame injection.
+the curvature term being -a_x (nu . Delta f) <S e_i, e_j>, nu the normal, S the shape
+operator; F is symmetric, no zeros stored; H(f) v = B (F (B^T v)) / mass, B the frame injection.
 ``hessian_spectrum`` takes every eigenvalue of M^{-1/2} F M^{-1/2} up to
 FULL_SPECTRUM_LIMIT unknowns, from the band of each connected component of its
 graph (a decoupled tangent block gets its own) in reverse Cuthill-McKee order;
@@ -26,7 +26,7 @@ in nested-dissection order, shifted below zero by a Gershgorin bound.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -87,23 +87,20 @@ class HessianOperator:
 
 
 def hessian_matrix(f: MapField) -> HessianOperator:
-    """Assemble the Hessian bilinear form on the discrete tangent bundle, block by
-    block on K's sparsity (module docstring), symmetric entry for entry, exact zeros
-    dropped; a MapField is on target, so neither frames nor d2pi check it again."""
+    """The Hessian form, block by block on K's sparsity (module docstring); the curvature
+    term a_x <d2pi(e_i, Delta f), e_j> = -a_x (nu . Delta f) <S e_i, e_j> from one d2pi call,
+    mirrored from i <= j, exact zeros dropped; neither frames nor d2pi recheck the MapField."""
     V, dN = f.mesh.vertex_count, f.target.intrinsic_dim
     frames = f.target.tangent_frames(f.values)
     K = f.mesh.stiffness
     rows = np.repeat(np.arange(V), np.diff(K.indptr))
     blocks = K.data[:, None, None] * np.einsum("kni,knj->kij", frames[rows], frames[K.indices])
 
-    # curvature block on the diagonal: a_x < d2pi(e_i, e_j), Delta f >
-    lap = laplace_beltrami_apply(f.mesh, f.values)
+    lap = laplace_beltrami_apply(f.mesh, f.values)[:, None, :]
+    d2 = f.target._d2_projection(f.values[:, None, :], frames.transpose(0, 2, 1), lap)
     at = np.flatnonzero(rows == K.indices)  # vertex x's diagonal block: K stores every one
-    for i in range(dN):
-        for j in range(i, dN):
-            d2 = f.target._d2_projection(f.values, frames[:, :, i], frames[:, :, j])
-            blocks[at, i, j] += f.mesh.area * np.einsum("vi,vi->v", d2, lap)
-            blocks[at, j, i] = blocks[at, i, j]  # the K parts of (i, j) and (j, i) are equal
+    diag = blocks[at] + f.mesh.area[:, None, None] * np.einsum("vin,vnj->vij", d2, frames)
+    blocks[at] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)  # (i, j) mirrored to (j, i)
     F = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(V * dN, V * dN)).tocsr()
     F.eliminate_zeros()  # the blocks' exact zeros, as of decoupled tangent components
 
@@ -121,9 +118,6 @@ class HessianSpectrum:
     gap_ratio: float
     index: int
     partial: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 FULL_SPECTRUM_LIMIT = 3000

@@ -8,7 +8,7 @@ whenever the critical set is a manifold matching the Hessian kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -208,9 +208,6 @@ class LojasiewiczFit:
     point_count: int
     norm_used: str
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
 
 def default_window(e_inf: float, gaps: np.ndarray) -> tuple[float, float]:
     """[10 * energy floor, max gap / 10]; the floor is the resolution of E - E_inf."""
@@ -261,9 +258,6 @@ class MorseBottReport:
     verdict: str  # "morse_bott" | "degenerate" | "inconclusive"
     predicted_theta: float | None
     kernel_tol: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def morse_bott_report(
@@ -320,9 +314,6 @@ class ConvergenceVerdict:
     exponent: float | None  # |M| ~ t^exponent
     r2_exponential: float
     r2_power_law: float
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def _r2_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -30,7 +30,7 @@ from harmonicflow import (
     tension,
 )
 from harmonicflow.errors import EigensolveFailure, NonTangentInput, NotOnTarget, ShapeMismatch
-from harmonicflow.meshes import l2_inner, l2_norm, random_scalar_field
+from harmonicflow.meshes import l2_inner, l2_norm, laplace_beltrami_apply, random_scalar_field
 from harmonicflow.rng import stream
 from harmonicflow.targets import EmbeddedTarget
 
@@ -342,7 +342,7 @@ def test_hessian_spectrum_kernel_tolerance_override(ico2, s2):
 
 def test_hessian_spectrum_json_fields(ico2, s2):
     spec = hessian_spectrum(hessian_matrix(constant_map(ico2, s2)))
-    d = spec.to_json_dict()
+    d = dataclasses.asdict(spec)
     assert set(d) == {
         "eigenvalues", "kernel_dim", "kernel_tol", "basis_dim", "gap_ratio", "index",
         "partial",
@@ -492,17 +492,71 @@ def test_hessian_eigenvalues_do_not_depend_on_the_frames(case, monkeypatch):
 
 def test_hessian_matrix_does_not_recheck_its_map(monkeypatch):
     # a MapField is on target by construction: the assembly builds no projector
-    # and checks no point
+    # and checks no point; it evaluates d2pi once, over every frame column, so the
+    # torus decomposes its points for the frames' nu and for d2pi's nu and S alone
     f = FULL_SPECTRUM_CASES["ico3-torus_rev-perturbed"][0]()
     calls = {}
-    for name in ("require_on_target", "tangent_projector", "ambient_hessian_of_projection"):
-        def counted(self, *args, _name=name, _method=getattr(EmbeddedTarget, name)):
+    for cls, name in [(EmbeddedTarget, "require_on_target"), (EmbeddedTarget, "tangent_projector"),
+                      (EmbeddedTarget, "ambient_hessian_of_projection"),
+                      (EmbeddedTarget, "_d2_projection"), (TorusOfRevolution, "_core_decomp")]:
+        def counted(self, *args, _name=name, _method=getattr(cls, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _method(self, *args)
 
-        monkeypatch.setattr(EmbeddedTarget, name, counted)
+        monkeypatch.setattr(cls, name, counted)
     hessian_matrix(f)
+    assert calls.pop("_d2_projection") == 1
+    assert calls.pop("_core_decomp") <= 3
     assert calls == {}
+
+
+def _sphere_curvatures(y, lap):
+    # nu = y and S = I: every principal curvature is 1
+    return np.repeat(np.einsum("vi,vi->v", y, lap)[:, None], y.shape[1] - 1, axis=1)
+
+
+def _clifford_curvatures(y, lap):
+    # per circle factor, nu is its coordinate pair and the one curvature is 1
+    return np.einsum("vki,vki->vk", y.reshape(len(y), -1, 2), lap.reshape(len(y), -1, 2))
+
+
+def _torus_curvatures(y, lap, R=2.0, r=0.5):
+    # nu = q/|q|, q = y - R y_h/rho: curvature 1/r along the meridian and
+    # (rho - R)/(r rho) along the parallel, rho = |y_h|
+    rho = np.hypot(y[:, 0], y[:, 1])
+    q = y.copy()
+    q[:, :2] -= R * y[:, :2] / rho[:, None]
+    nu_lap = np.einsum("vi,vi->v", q, lap) / np.linalg.norm(q, axis=1)
+    return nu_lap[:, None] * np.stack([np.full_like(rho, 1 / r), (rho - R) / (r * rho)], axis=1)
+
+
+# map builder, and (nu . Delta f) kappa per vertex and principal direction from closed forms
+CURVATURE_CASES = {
+    "ico3-torus_rev-perturbed": (FULL_SPECTRUM_CASES["ico3-torus_rev-perturbed"][0],
+                                 _torus_curvatures),
+    "ico3-identity-S2": (FULL_SPECTRUM_CASES["ico3-identity-S2"][0], _sphere_curvatures),
+    "ico2-perturbed-S3": (FULL_SPECTRUM_CASES["ico2-perturbed-S3"][0], _sphere_curvatures),
+    "flat12-perturbed-clifford3": (lambda: perturbed_constant_map(
+        build_flat_torus(12, 12), CliffordTorus(3), 0.1, stream(4, "curvature")),
+        _clifford_curvatures),
+    "circle256-degree2-S2": (FULL_SPECTRUM_CASES["circle256-degree2-S2"][0], _sphere_curvatures),
+}
+
+
+@pytest.mark.parametrize("case", list(CURVATURE_CASES))
+def test_hessian_curvature_blocks_have_the_principal_curvatures(case):
+    # F_xx - K_xx I is the curvature block -a_x (nu . Delta f) <S e_i, e_j>, whose
+    # eigenvalues are -a_x (nu . Delta f) kappa: checked without d2pi
+    make, curvatures = CURVATURE_CASES[case]
+    f = make()
+    V, dN = f.mesh.vertex_count, f.target.intrinsic_dim
+    K_diag = f.mesh.stiffness.diagonal()
+    F = hessian_matrix(f).form.toarray().reshape(V, dN, V, dN)
+    at = np.arange(V)
+    blocks = F[at, :, at, :] - K_diag[:, None, None] * np.eye(dN)
+    lap = laplace_beltrami_apply(f.mesh, f.values)
+    want = np.sort(-f.mesh.area[:, None] * curvatures(f.values, lap), axis=1)
+    assert np.max(np.abs(np.linalg.eigvalsh(blocks) - want)) <= 1e-14 * np.max(np.abs(K_diag))
 
 
 def _count_band_solves(monkeypatch) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -681,7 +682,7 @@ def test_cli_hessian_spec_assembles_one_hessian(tmp_path, monkeypatch):
                      build_target(target_spec_from_config(scn.target)))
     report = morse_bott_report(f, 2, grad_tol=scn.flow["grad_tol"])
     written = json.loads((out / "morse_bott.json").read_text())
-    assert written == json.loads(json.dumps(report.to_json_dict()))
+    assert written == json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 def test_cli_hessian_spec_not_critical_exit_3_before_spectrum(tmp_path, monkeypatch):
