@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
     NotCritical,
     UnsupportedOrder,
 )
-from .fields import MapField, _unchecked, random_tangent_stack
+from .fields import MapField, random_tangent_stack
 from .flow import FlowControl, FlowTrace
 from .meshes import (
     ExponentVerdict, SourceMesh, laplace_beltrami_apply, lp_norm, row_dots, sobolev_norm,
@@ -57,14 +57,13 @@ def sample_neighborhood(
     count: int,
     norm: tuple[int, float] = (1, 2.0),
     seed: int = 0,
-) -> list[MapField]:
-    """Seeded random maps with |f - f_inf|_{W^{k,p}} uniform in (0, sigma), drawn
-    and pushed a (V, S, n) stack at a time; each map is a view of its stack."""
+) -> Iterator[np.ndarray]:
+    """Seeded random maps with |f - f_inf|_{W^{k,p}} uniform in (0, sigma), drawn,
+    pushed and yielded a (V, S, n) stack at a time, so only one stack is held."""
     k, p = norm
     rng = stream(seed, "loja-neighborhood")
-    mesh, target = f_inf.mesh, f_inf.target
-    out: list[MapField] = []
-    for chunk in stack_chunks(mesh, target.ambient_dim, int(count)):
+    mesh = f_inf.mesh
+    for chunk in stack_chunks(mesh, f_inf.target.ambient_dim, int(count)):
         u, w = random_tangent_stack(f_inf, rng, chunk.stop - chunk.start, 0.0)
         n_u = sobolev_norm(mesh, u, k, p)
         keep = n_u > 0.0  # a zero field is skipped, not counted
@@ -79,9 +78,7 @@ def sample_neighborhood(
                 break
             u[:, far] *= (0.9 * sigma / d)[:, None]
             f[:, far] = push(f_inf, u[:, far])
-        out += [_unchecked(MapField, values=f[:, s], target=target, mesh=mesh)
-                for s in range(f.shape[1])]
-    return out
+        yield f
 
 
 def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable:
@@ -150,7 +147,7 @@ class InequalityReport:
 
 
 def verify_inequality(
-    samples: list[MapField],
+    samples: Iterable[np.ndarray],
     f_inf: MapField,
     theta: float,
     z: float,
@@ -158,7 +155,8 @@ def verify_inequality(
     k: int = 1,
     dual_p: float = 2.0,
 ) -> InequalityReport:
-    """Per-sample table of |M(f)| versus Z |E(f) - E(f_inf)|^theta."""
+    """Per-sample table of |M(f)| versus Z |E(f) - E(f_inf)|^theta over (V, S, n)
+    sample stacks, each measured as it arrives (sample_neighborhood yields them)."""
     mesh, n = f_inf.mesh, f_inf.target.ambient_dim
     if norm_used == "l2":
         grad_norm = lambda m: np.sqrt(mesh.area @ row_dots(m, m))
@@ -168,8 +166,7 @@ def verify_inequality(
         raise ValueError(f"unknown norm_used {norm_used!r}")
     e_inf = energy(f_inf)
     gaps, gns = [np.empty(0)], [np.empty(0)]
-    for chunk in stack_chunks(mesh, n, len(samples)):
-        f = np.stack([s.values for s in samples[chunk]], axis=1)  # (V, S, n)
+    for f in samples:
         cols = f.reshape(len(f), -1)
         # E as energy() forms it, squared stencil differences; M = dpi(f) (K f) / area
         df = mesh.diff @ cols
@@ -177,6 +174,7 @@ def verify_inequality(
         del df  # keeps a chunk's peak below malloc's trim threshold: its pages are not re-faulted
         lap = laplace_beltrami_apply(mesh, cols).reshape(f.shape)
         gns.append(grad_norm(f_inf.target.tangent_project(f, lap)))
+        del f, cols, lap  # before the next stack is drawn: one stack alive at a time
     signed = np.concatenate(gaps)  # E(f) - E(f_inf)
     gaps, gns = np.abs(signed).tolist(), np.concatenate(gns).tolist()
     # scalar powers: numpy's gap**0.5 takes the sqrt path, which can differ in the last digit

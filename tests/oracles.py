@@ -14,7 +14,8 @@ a trace, and the icosphere subdivided by the per-face loop that the
 vectorized ``build_icosphere`` must match bit for bit.  The per-sample loops of
 the chart audit and of the neighbourhood sampler, with the scatter form of the
 W^{k,p} norm, are kept as references for the (V, S, n) stack code that
-replaced them, and the dense eigensolve of the Hessian as the reference for
+replaced them, with the two helpers that move samples between maps and stacks,
+and the dense eigensolve of the Hessian as the reference for
 its banded full spectrum.
 """
 
@@ -34,6 +35,7 @@ from harmonicflow import (
 from harmonicflow.errors import (
     ChartRadiusExceeded, HarmonicFlowError, InadmissibleExponents, UnsupportedOrder,
 )
+from harmonicflow.fields import _unchecked
 from harmonicflow.meshes import (
     SOBOLEV_ORDERS, _check_field, _icosahedron, l2_inner, laplace_beltrami_apply,
 )
@@ -541,3 +543,14 @@ def reference_sample_neighborhood(f_inf, sigma, count, norm=(1, 2.0), seed=0) ->
             f = chart_push(f_inf, u)
         out.append(f)
     return out
+
+
+def stack_maps(maps) -> np.ndarray:
+    """Maps as one (V, S, n) sample stack, the unit ``verify_inequality`` measures."""
+    return np.stack([m.values for m in maps], axis=1)
+
+
+def sample_maps(stacks, f_inf) -> list:
+    """The samples of (V, S, n) stacks as maps, one view per sample, unchecked."""
+    return [_unchecked(MapField, values=s[:, j], target=f_inf.target, mesh=f_inf.mesh)
+            for s in stacks for j in range(s.shape[1])]

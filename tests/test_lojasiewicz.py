@@ -35,6 +35,8 @@ from harmonicflow.lojasiewicz import gradient_dual_norm
 from harmonicflow.meshes import sobolev_norm
 from harmonicflow.rng import stream
 
+from oracles import sample_maps, stack_maps
+
 
 # ---------------------------------------------------------------------------
 # hypothesis tables
@@ -93,20 +95,21 @@ def test_reason_names_the_failing_clause():
 # neighborhood sampling
 
 def test_sample_neighborhood_empty(ico2, s2):
-    assert sample_neighborhood(constant_map(ico2, s2), 0.1, 0) == []
+    assert list(sample_neighborhood(constant_map(ico2, s2), 0.1, 0)) == []
 
 
 def test_samples_satisfy_neighborhood_condition(ico2, s2):
     f_inf = constant_map(ico2, s2)
     sigma = 0.1
-    samples = sample_neighborhood(f_inf, sigma, 16, norm=(1, 2.0), seed=2)
+    samples = sample_maps(sample_neighborhood(f_inf, sigma, 16, norm=(1, 2.0), seed=2), f_inf)
     assert len(samples) == 16
     for f in samples:
         assert sobolev_norm(ico2, f.values - f_inf.values, 1, 2.0) < sigma
 
 
 def test_sample_energies_spread_three_decades(ico3, s2):
-    samples = sample_neighborhood(constant_map(ico3, s2), 0.1, 32, seed=1)
+    f_inf = constant_map(ico3, s2)
+    samples = sample_maps(sample_neighborhood(f_inf, 0.1, 32, seed=1), f_inf)
     gaps = [energy(f) for f in samples]
     assert math.log10(max(gaps) / min(gaps)) >= 3.0
 
@@ -116,7 +119,7 @@ def test_sample_energies_spread_three_decades(ico3, s2):
 
 def test_verify_at_limit_map_margin_zero(ico2, s2):
     f_inf = constant_map(ico2, s2)
-    rep = verify_inequality([f_inf], f_inf, 0.5, 0.9)
+    rep = verify_inequality([stack_maps([f_inf])], f_inf, 0.5, 0.9)
     assert rep.min_margin == pytest.approx(0.0, abs=1e-12)
 
 
@@ -142,9 +145,9 @@ def test_verify_counts_samples_below_the_limit_energy(s2):
 
     down, up = normal_sample(1), normal_sample(3)
     assert energy(down) < energy(f_inf) < energy(up)
-    rep = verify_inequality([down, up, down], f_inf, 0.5, 0.9)
+    rep = verify_inequality([stack_maps([down, up, down])], f_inf, 0.5, 0.9)
     assert rep.below_count == rep.to_json_dict()["below_count"] == 2
-    assert verify_inequality([up], f_inf, 0.5, 0.9).below_count == 0
+    assert verify_inequality([stack_maps([up])], f_inf, 0.5, 0.9).below_count == 0
 
 
 def test_wrong_exponent_ratios_diverge(ico3, s2):
@@ -183,12 +186,13 @@ def test_dual_norm_matches_per_field_reference(ico2, target):
     from oracles import dual_norm_per_field
 
     f_inf = constant_map(ico2, target)
-    samples = sample_neighborhood(f_inf, 0.1, 6, norm=(1, 3.0), seed=5)
+    samples = sample_maps(sample_neighborhood(f_inf, 0.1, 6, norm=(1, 3.0), seed=5), f_inf)
     ref = [dual_norm_per_field(ico2, tension(f).values, 3.0) for f in samples]
     assert min(ref) > 0.0
     for f, want in zip(samples, ref):
         assert gradient_dual_norm(f, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
-    rep = verify_inequality(samples, f_inf, 0.5, 0.9, "wk_minus_2_p", k=1, dual_p=3.0)
+    rep = verify_inequality([stack_maps(samples)], f_inf, 0.5, 0.9, "wk_minus_2_p", k=1,
+                            dual_p=3.0)
     assert rep.grad_norm.tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 

@@ -416,6 +416,39 @@ def test_cli_failed_analysis_manifest_lists_the_outputs_before_it(tmp_path, caps
     assert "failed" not in json.loads((ok / "run_manifest.json").read_text())
 
 
+def test_cli_verify_sampler_failure_surfaces_while_verify_measures(tmp_path, capsys):
+    # sigma = 50 pushes the first sample stack past the chart radius; the sampler
+    # yields its stacks lazily, so the error is raised inside verify's loop
+    cfg = """
+[scenario]
+seed = 1
+analyses = chart-audit, verify
+
+[mesh]
+kind = icosphere
+level = 1
+
+[target]
+kind = sphere
+ambient_dim = 3
+
+[initial_map]
+kind = constant
+
+[verify]
+sigma = 50
+"""
+    out = tmp_path / "out"
+    assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    assert "ChartRadiusExceeded" in capsys.readouterr().err
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert [entry["path"] for entry in manifest["outputs"]] == ["chart_report.json"]
+    assert manifest["failed"]["analysis"] == "verify"
+    assert manifest["failed"]["error"].startswith("ChartRadiusExceeded")
+    assert not (out / "verify_margins.json").exists()
+    assert not (out / "verify_samples.csv").exists()
+
+
 def test_cli_radius_guard_at_dt_min_is_step_collapse(tmp_path, ico2, s2):
     # from a rough map the guard halves 0.015 below dt_min before any candidate
     ck = tmp_path / "rough.json"

@@ -1,11 +1,14 @@
 """The (V, S, n) sample stacks against the one-sample-at-a-time references.
 
-``bilipschitz_estimate``, ``sample_neighborhood`` and ``verify_inequality``
-run their samples in chunks of ``stack_chunks``; ``tests/oracles.py`` keeps
-the per-sample loops they replaced and the scatter form of the W^{k,p} norm.
-Counts 0, 1 and one chunk plus one cover the empty run, a single field and a
-chunk boundary.
+``bilipschitz_estimate`` and ``sample_neighborhood`` run their samples in
+chunks of ``stack_chunks``, and ``verify_inequality`` measures the sampler's
+stacks as they are yielded; ``tests/oracles.py`` keeps the per-sample loops
+they replaced and the scatter form of the W^{k,p} norm.  Counts 0, 1, one
+chunk plus one and two chunks plus one cover the empty run, a single field, a
+chunk boundary and a sampler resumed twice with its stream carried across.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +30,9 @@ from harmonicflow import (
     tension,
     verify_inequality,
 )
+import harmonicflow.cli as cli_module
 from harmonicflow.charts import pull, push
+from harmonicflow.config import parse_config
 from harmonicflow.errors import ChartRadiusExceeded, NonTangentInput
 from harmonicflow.fields import TangentField, _unchecked, random_tangent_stack
 from harmonicflow.meshes import STACK_ELEMENTS, l2_norm, sobolev_norm, stack_chunks
@@ -38,6 +43,8 @@ from oracles import (
     reference_bilipschitz_estimate,
     reference_sample_neighborhood,
     reference_sobolev_norm,
+    sample_maps,
+    stack_maps,
 )
 
 REL = 1e-12
@@ -67,7 +74,7 @@ def _chunk(f):
 
 
 def _counts(f):
-    return (0, 1, _chunk(f) + 1)
+    return (0, 1, _chunk(f) + 1, 2 * _chunk(f) + 1)
 
 
 def test_stack_chunks_cover_the_range_in_bounded_slices(ico2):
@@ -127,7 +134,10 @@ def test_neighbourhood_stacks_match_the_sample_loop(pair):
     for f_inf in (f_base, f_const):
         mesh = f_inf.mesh
         for count in _counts(f_inf):
-            got = sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=5)
+            stacks = list(sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=5))
+            assert [s.shape[1] for s in stacks] == [
+                c.stop - c.start for c in stack_chunks(mesh, f_inf.target.ambient_dim, count)]
+            got = sample_maps(stacks, f_inf)
             want = reference_sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=5)
             assert len(got) == len(want) == count
             for g, w in zip(got, want):
@@ -136,7 +146,7 @@ def test_neighbourhood_stacks_match_the_sample_loop(pair):
                     reference_sobolev_norm(mesh, w.values - f_inf.values, 1, 3.0), rel=REL, abs=0.0)
     for sampler in (sample_neighborhood, reference_sample_neighborhood):
         with pytest.raises(ChartRadiusExceeded):
-            sampler(f_const, 50.0, 3, norm=(1, 3.0), seed=5)
+            list(sampler(f_const, 50.0, 3, norm=(1, 3.0), seed=5))
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -147,16 +157,66 @@ def test_verify_stacks_match_per_sample_energy_and_tension(pair):
     e_inf = energy(f_inf)
     for count in _counts(f_inf):
         samples = reference_sample_neighborhood(f_inf, 0.1, count, norm=(1, 3.0), seed=2)
+        stacks = [stack_maps(samples[c])
+                  for c in stack_chunks(mesh, f_inf.target.ambient_dim, count)]
         gaps = [abs(energy(f) - e_inf) for f in samples]
         l2 = [l2_norm(mesh, tension(f).values) for f in samples]
         dual = [dual_norm_per_field(mesh, tension(f).values, 3.0) for f in samples]
         for norm_used, grads in (("l2", l2), ("wk_minus_2_p", dual)):
-            rep = verify_inequality(samples, f_inf, 0.5, 0.9, norm_used, k=1, dual_p=3.0)
+            rep = verify_inequality(stacks, f_inf, 0.5, 0.9, norm_used, k=1, dual_p=3.0)
             assert len(rep.gap) == count
             assert rep.gap.tolist() == pytest.approx(gaps, rel=REL, abs=0.0)
             assert rep.grad_norm.tolist() == pytest.approx(grads, rel=REL, abs=0.0)
             ratios = [g / gap**0.5 for g, gap in zip(grads, gaps)]
             assert rep.ratio.tolist() == pytest.approx(ratios, rel=REL, abs=0.0)
+
+
+def _traced_peak(run) -> int:
+    """tracemalloc's peak, in bytes, over one call of run."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+VERIFY_CFG = """
+[scenario]
+seed = 1
+analyses = verify
+[mesh]
+kind = icosphere
+level = 3
+[target]
+kind = sphere
+ambient_dim = 3
+[initial_map]
+kind = constant
+"""
+
+
+def test_verify_memory_is_one_stack_not_the_run(ico3, s2, tmp_path):
+    # a stack holds 17 ico3 samples: 34 samples are 2 stacks and 340 are 20, and
+    # a run held whole would peak at about 2.8 times the 34-sample run
+    f_inf = constant_map(ico3, s2)
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text(VERIFY_CFG)
+    run = cli_module._Run(parse_config(str(cfg)), str(tmp_path))
+    assert run.scn.verify["norm"] == "l2" and run.scn.verify["p"] == 3.0
+
+    def direct(count):
+        return lambda: verify_inequality(
+            sample_neighborhood(f_inf, 0.1, count, (1, 3.0), 1), f_inf, 0.5, 0.9)
+
+    def through_cli(count):  # the CLI must hand the sampler's stacks on, not a list
+        run.scn.verify["count"] = count
+        return run.run_verify
+
+    for measure in (direct, through_cli):
+        measure(1)()  # the mesh's cached operators are built outside the trace
+        small, large = _traced_peak(measure(34)), _traced_peak(measure(340))
+        assert large <= 1.1 * small
 
 
 def test_shrink_passes_match_the_sample_loop(monkeypatch, ico2, s2):
@@ -177,7 +237,7 @@ def test_shrink_passes_match_the_sample_loop(monkeypatch, ico2, s2):
 
     monkeypatch.setattr(charts_module, "push", offset_push)
     monkeypatch.setattr(loja_module, "push", offset_push)
-    got = sample_neighborhood(f_inf, sigma, count, norm=(1, 3.0), seed=5)
+    got = sample_maps(sample_neighborhood(f_inf, sigma, count, norm=(1, 3.0), seed=5), f_inf)
     stacked, widths[:] = list(widths), []
     want = reference_sample_neighborhood(f_inf, sigma, count, norm=(1, 3.0), seed=5)
     assert len(want) == count and len(widths) > count + 8  # the loop shrank often
