@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
+from types import SimpleNamespace
 
 from .checkpoint import load_checkpoint
 from .errors import ConfigError
@@ -17,41 +18,13 @@ from .targets import TARGET_KINDS
 
 ANALYSES = ("flow", "loja-fit", "hessian-spec", "verify", "chart-audit", "mult-probe")
 
-# section -> key -> (parser, default); REQUIRED means no default
+# section -> key -> (parser, default); REQUIRED means no default, and a section
+# with a REQUIRED key must be present
 REQUIRED = object()
 
 
-def _floats_list(s: str) -> list[float]:
-    return [float(x) for x in s.split(",") if x.strip()]
-
-
-def _levels(s: str) -> list[int]:
-    """Mult-probe grid sides: at least one, each n an n x n flat torus build_flat_torus takes."""
-    levels = [int(x) for x in s.split(",") if x.strip()]
-    if not levels or not all(MIN_GRID_SIDE <= n and n * n <= MAX_VERTICES for n in levels):
-        raise ValueError(f"needs one or more sides in {MIN_GRID_SIDE}..{math.isqrt(MAX_VERTICES)}")
-    return levels
-
-
-def _bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
-def _analyses(s: str) -> list[str]:
-    items = [x.strip() for x in s.split(",") if x.strip()]
-    for it in items:
-        if it not in ANALYSES:
-            raise ValueError(f"unknown analysis {it!r}; choose from {ANALYSES}")
-    return items
-
-
 def _number(typ, ok, what: str):
-    """Parser for a number of type ``typ`` with ``ok(v)`` true; NaN fails every ``ok``."""
+    """Parser for ``v = typ(s)`` with ``ok(v)`` true; NaN fails every ``ok``."""
     def parse(s: str):
         v = typ(s)
         if not ok(v):
@@ -60,46 +33,40 @@ def _number(typ, ok, what: str):
     return parse
 
 
+def _one_of(choices, fold=str):
+    """Parser for an enumerated key: ``fold(value)`` must be one of ``choices``."""
+    def parse(s: str):
+        v = fold(s)
+        if v not in choices:
+            raise ValueError(f"not one of {tuple(choices)}")
+        return v
+    return parse
+
+
+def _listed(parse):
+    """Parser for a comma list of ``parse``'s values; empty items are skipped."""
+    return lambda s: [parse(x.strip()) for x in s.split(",") if x.strip()]
+
+
+def _optional(parse, *words):
+    """Parser for ``parse``'s values, or None for any of ``words`` in any case."""
+    return lambda s: None if s.lower() in words else parse(s)
+
+
 def _positive(typ):
     """Parser for a number of type ``typ`` that must be finite and > 0."""
     return _number(typ, lambda v: 0 < v < math.inf, "finite and > 0")
 
 
-def _order(s: str) -> int:
-    k = int(s)
-    if k not in SOBOLEV_ORDERS:
-        raise ValueError(f"Sobolev order not in {SOBOLEV_ORDERS}")
-    return k
-
-
-def _exponent(s: str) -> float:
-    """A Sobolev exponent p: finite and >= 1, the range sobolev_norm takes."""
-    p = float(s)
-    if not (math.isfinite(p) and p >= 1):
-        raise ValueError("Sobolev exponent must be finite and >= 1")
-    return p
-
-
-def _opt_float(s: str) -> float | None:
-    """``auto`` (None) or a finite float > 0."""
-    return None if s.strip().lower() == "auto" else _positive(float)(s)
-
-
 _count = _number(int, lambda v: v >= 0, "an int >= 0")
-
-
-def _opt_count(s: str) -> int | None:
-    """``none`` (None) or an int >= 0."""
-    return None if s.strip().lower() in ("", "none") else _count(s)
-
-
-def _one_of(choices):
-    """Parser for an enumerated key: the value must be one of ``choices``."""
-    def parse(s: str) -> str:
-        if s not in choices:
-            raise ValueError(f"not one of {tuple(choices)}")
-        return s
-    return parse
+_nonnegative = _number(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_auto = _optional(_positive(float), "auto")  # None: chosen from the run
+_order = _one_of(SOBOLEV_ORDERS, int)
+_exponent = _number(float, lambda p: 1 <= p < math.inf, "finite and >= 1")  # sobolev_norm's p
+_BOOLEANS = configparser.ConfigParser.BOOLEAN_STATES  # 1/0, yes/no, true/false, on/off
+_MAX_SIDE = math.isqrt(MAX_VERTICES)  # the n x n flat tori build_flat_torus takes
+_side = _number(int, lambda n: MIN_GRID_SIDE <= n <= _MAX_SIDE,
+                f"a side in {MIN_GRID_SIDE}..{_MAX_SIDE}")
 
 
 # [initial_map] kind -> builder(mesh, target, section, seed) of the map
@@ -121,7 +88,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "scenario": {
         "seed": (int, REQUIRED),
         "output_dir": (str, "runs/scenario"),
-        "analyses": (_analyses, []),
+        "analyses": (_listed(_one_of(ANALYSES)), []),
     },
     "mesh": {
         "kind": (_one_of(MESH_KINDS), REQUIRED),
@@ -141,9 +108,9 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "initial_map": {
         "kind": (_one_of(INITIAL_MAP_KINDS), REQUIRED),
-        "point": (_floats_list, None),
+        "point": (_listed(float), None),
         "k": (int, 1),
-        "amplitude": (_number(float, lambda v: 0 <= v < math.inf, "finite and >= 0"), 0.1),
+        "amplitude": (_nonnegative, 0.1),
         "path": (str, None),
     },
     "flow": {
@@ -151,15 +118,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "dt_min": (_positive(float), _FLOW.dt_min),
         "max_steps": (_positive(int), _FLOW.max_steps),
         "max_time": (_number(float, lambda v: v > 0, "> 0"), _FLOW.max_time),  # inf: no limit
-        "grad_tol": (_number(float, lambda v: 0 <= v < math.inf, "in [0, inf)"), _FLOW.grad_tol),
+        "grad_tol": (_nonnegative, _FLOW.grad_tol),
         "checkpoint_every": (_count, _FLOW.checkpoint_every),  # 0: off
-        "write_checkpoints": (_bool, False),
-        "dist_k": (_order, _FLOW.dist_norm[0]),
-        "dist_p": (_exponent, _FLOW.dist_norm[1]),
+        "write_checkpoints": (lambda s: _BOOLEANS[_one_of(_BOOLEANS, str.lower)(s)], False),
+        "dist_k": (_order, _FLOW.dist_k),
+        "dist_p": (_exponent, _FLOW.dist_p),
     },
     "loja_fit": {
-        "window_lo": (_opt_float, None),
-        "window_hi": (_opt_float, None),
+        "window_lo": (_auto, None),
+        "window_hi": (_auto, None),
     },
     "verify": {
         "sigma": (_positive(float), 0.1),
@@ -172,39 +139,26 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "norm": (_one_of(VARIANTS), "l2"),
     },
     "hessian": {
-        "kernel_tol": (_opt_float, None),
-        "expected_critical_dim": (_opt_count, None),
+        "kernel_tol": (_auto, None),
+        "expected_critical_dim": (_optional(_count, "", "none"), None),
         "n_modes": (_positive(int), 32),
     },
     "chart_audit": {
-        "radius": (_opt_float, None),  # auto = 0.1 * tubular radius
+        "radius": (_auto, None),  # auto = 0.1 * tubular radius
         "samples": (_positive(int), 32),
         "k": (_order, 1),
         "p": (_exponent, 2.0),
     },
     "mult_probe": {
-        "levels": (_levels, [16, 32, 64]),
+        "levels": (_number(_listed(_side), len, "one or more sides"), [16, 32, 64]),
         "k": (_order, 2),
         "p": (_exponent, 2.0),
         "trials": (_positive(int), 8),
     },
 }
 
-@dataclass
-class Scenario:
-    seed: int
-    output_dir: str
-    analyses: list[str]
-    mesh: dict
-    target: dict
-    initial_map: dict
-    flow: dict
-    loja_fit: dict
-    verify: dict
-    hessian: dict
-    chart_audit: dict
-    mult_probe: dict
-    echo: dict = field(default_factory=dict)
+# what parse_config returns: [scenario]'s keys, each other section's dict, and echo
+Scenario = SimpleNamespace
 
 
 def parse_config(path: str) -> Scenario:
@@ -216,32 +170,26 @@ def parse_config(path: str) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
-
-    parsed: dict[str, dict] = {}
     for section in cp.sections():
         if section not in SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        parsed[section] = {}
-        for key, raw in cp[section].items():
+        for key in cp[section]:
             if key not in SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            parser, _ = SCHEMA[section][key]
-            try:
-                parsed[section][key] = parser(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-    for required_section in ("scenario", "mesh", "target", "initial_map"):
-        if required_section not in parsed:
-            raise ConfigError(f"missing required section [{required_section}]")
 
     out: dict[str, dict] = {}
     for section, keys in SCHEMA.items():
+        present = cp.has_section(section)
+        if not present and any(default is REQUIRED for _, default in keys.values()):
+            raise ConfigError(f"missing required section [{section}]")
+        got = cp[section] if present else {}
         out[section] = {}
-        got = parsed.get(section, {})
-        for key, (parser, default) in keys.items():
+        for key, (parse, default) in keys.items():
             if key in got:
-                out[section][key] = got[key]
+                try:
+                    out[section][key] = parse(got[key])
+                except ValueError as exc:
+                    raise ConfigError(f"[{section}] {key} = {got[key]!r}: {exc}") from exc
             elif default is REQUIRED:
                 raise ConfigError(f"missing required key {key!r} in [{section}]")
             else:
@@ -264,9 +212,7 @@ def parse_config(path: str) -> Scenario:
 
     echo = {sec: {k: _echo_value(v) for k, v in keys.items()}
             for sec, keys in out.items()}
-    scenario = out.pop("scenario")  # [scenario]'s keys are fields, each other section one
-    return Scenario(seed=scenario["seed"], output_dir=scenario["output_dir"],
-                    analyses=scenario["analyses"], echo=echo, **out)
+    return Scenario(**out.pop("scenario"), **out, echo=echo)
 
 
 def _echo_value(v):
@@ -296,7 +242,4 @@ def target_spec_from_config(target: dict) -> dict:
 
 def flow_control_from_config(flow: dict) -> FlowControl:
     """The FlowControl of a parsed [flow] section."""
-    return FlowControl(
-        dist_norm=(flow["dist_k"], flow["dist_p"]),
-        **{f.name: flow[f.name] for f in fields(FlowControl) if f.name != "dist_norm"},
-    )
+    return FlowControl(**{f.name: flow[f.name] for f in fields(FlowControl)})

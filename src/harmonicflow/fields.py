@@ -80,9 +80,11 @@ class TangentField:
 
 def constant_map(mesh: SourceMesh, target: EmbeddedTarget, point=None) -> MapField:
     """Constant map at the projection of ``point`` (default: the target's base point)."""
-    if point is None:
-        point = target.base_point()
-    y = target.project_to_target(np.asarray(point, dtype=float))
+    point = np.asarray(target.base_point() if point is None else point, dtype=float)
+    if point.shape != (target.ambient_dim,):
+        raise ShapeMismatch(f"point has shape {point.shape}; the target lies in "
+                            f"R^{target.ambient_dim}")
+    y = target.project_to_target(point)
     return MapField(np.tile(y, (mesh.vertex_count, 1)), target, mesh)
 
 

@@ -46,7 +46,8 @@ class FlowControl:
     max_time: float = math.inf
     grad_tol: float = 1e-9
     checkpoint_every: int = 100
-    dist_norm: tuple[int, float] = (1, 2.0)
+    dist_k: int = 1  # dist_to_limit is the W^{dist_k, dist_p} norm
+    dist_p: float = 2.0
 
 
 @dataclass
@@ -140,9 +141,8 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     # the one D-sum; a forward sum of increments would drift
     energies = np.subtract.accumulate([energy(f), *reversed(increments)])[::-1]
     dist = np.full(len(times), math.nan)
-    k, p = ctl.dist_norm
     dist[[step for step, _ in checkpoints]] = [
-        sobolev_norm(f.mesh, c.values - f.values, k, p) for _, c in checkpoints
+        sobolev_norm(f.mesh, c.values - f.values, ctl.dist_k, ctl.dist_p) for _, c in checkpoints
     ]
     return FlowTrace(np.array(times), energies, np.array(grad_norms), dist, np.array(dts),
                      terminated_by, checkpoints, f, candidates, rejections, halvings, stable)

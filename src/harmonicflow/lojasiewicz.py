@@ -217,7 +217,6 @@ def fit_exponent(
     trace: FlowTrace,
     f_inf: MapField,
     window: tuple[float, float] | None = None,
-    norm_used: str = "l2",
 ) -> LojasiewiczFit:
     """Least-squares slope of log|M| against log|E - E_inf| inside the window."""
     e_inf = energy(f_inf)
@@ -241,7 +240,7 @@ def fit_exponent(
         window=(float(lo), float(hi)),
         r_squared=r2,
         point_count=int(gaps.size),
-        norm_used=norm_used,
+        norm_used="l2",
     )
 
 

@@ -487,8 +487,8 @@ def validate_exponents(d: int, k: int, p: float, variant: str) -> ExponentVerdic
         return ExponentVerdict(False, f"source dimension d = {d} < 2")
     if k < 1:
         return ExponentVerdict(False, f"derivative order k = {k} < 1")
-    if p <= 1:
-        return ExponentVerdict(False, f"requires p > 1, got p = {p}")
+    if not 1 < p < math.inf:
+        return ExponentVerdict(False, f"requires p > 1 and finite, got p = {p}")
     if k * p <= d:
         return ExponentVerdict(False, f"requires kp > d, got kp = {k * p}, d = {d}")
     if variant == "wk":

@@ -300,6 +300,41 @@ def test_unknown_enum_value_rejected_at_parse(tmp_path, section, key):
         parse_config(minimal_cfg(tmp_path, **{section: keys}))
 
 
+# the spellings a config may use, and the value each parses to
+@pytest.mark.parametrize("section,keys,want", [
+    *(pytest.param("flow", {"write_checkpoints": raw}, {"write_checkpoints": value},
+                   id=f"bool-{raw}")
+      for raw, value in (("Yes", True), ("on", True), ("0", False), ("FALSE", False))),
+    *(pytest.param(section, dict.fromkeys(keys, raw), dict.fromkeys(keys), id=f"{keys[0]}-{raw}")
+      for section, keys in (("chart_audit", ("radius",)), ("hessian", ("kernel_tol",)),
+                            ("loja_fit", ("window_lo", "window_hi")))
+      for raw in ("auto", "AUTO")),
+    *(pytest.param("hessian", {"expected_critical_dim": raw}, {"expected_critical_dim": None},
+                   id=f"expected_critical_dim-{raw or 'empty'}") for raw in ("none", "None", "")),
+    pytest.param("initial_map", {"kind": "constant", "point": "2.5 , 0 , 0 ,"},
+                 {"point": [2.5, 0.0, 0.0]}, id="point-trailing-comma"),
+    pytest.param("scenario", {"seed": 1, "analyses": "flow, loja-fit,"},
+                 {"analyses": ["flow", "loja-fit"]}, id="analyses-trailing-comma"),
+    pytest.param("mult_probe", {"levels": "8, 404"}, {"levels": [8, 404]}, id="levels-8-404"),
+])
+def test_config_spellings_accepted(tmp_path, section, keys, want):
+    parsed = parse_config(minimal_cfg(tmp_path, **{section: keys})).echo[section]
+    assert {key: parsed[key] for key in want} == want
+
+
+@pytest.mark.parametrize("section,key,raw", [
+    ("mult_probe", "levels", "405"),
+    *((section, key, "3") for section, key in (
+        ("flow", "dist_k"), ("verify", "k"), ("chart_audit", "k"), ("mult_probe", "k"))),
+    *((section, key, raw) for section, key in (
+        ("flow", "dist_p"), ("verify", "p"), ("chart_audit", "p"), ("mult_probe", "p"))
+      for raw in ("0.99", "inf", "nan")),
+])
+def test_config_spellings_rejected(tmp_path, section, key, raw):
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}'"):
+        parse_config(minimal_cfg(tmp_path, **{section: {key: raw}}))
+
+
 def test_minimal_flow_section_is_flow_control_defaults(tmp_path):
     scn = parse_config(minimal_cfg(tmp_path))
     assert flow_control_from_config(scn.flow) == FlowControl()
@@ -788,6 +823,17 @@ def test_cli_bad_initial_map_exit_2(tmp_path, capsys, initial_map, mesh):
     assert "rejected" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["constant", "perturbed_constant"])
+@pytest.mark.parametrize("target,point", [
+    ({"kind": "torus_rev", "R": 2.0, "r": 0.5}, "2.5, 0"),
+    ({"kind": "sphere", "ambient_dim": 3}, ""),
+], ids=["r2-point-for-torus", "empty-point"])
+def test_cli_point_of_wrong_length_exit_2(tmp_path, capsys, kind, target, point):
+    path = minimal_cfg(tmp_path, target=target, initial_map={"kind": kind, "point": point})
+    assert cli_main(["run", path, "--out", str(tmp_path / "o")]) == 2
+    assert "rejected: [initial_map]" in capsys.readouterr().err
+
+
 # |x|^2 overflows before the projection rejects the point; the suite turns
 # a RuntimeWarning into an error, so passing also means none was printed
 def test_cli_overflowing_point_exit_2(tmp_path, capsys):
@@ -822,6 +868,9 @@ def test_cli_threads_other_than_one_exit_2(tmp_path, threads):
 
 def test_cli_validate_exponents_subcommand(capsys):
     assert cli_main(["validate-exponents", "2", "1", "3", "wk"]) == 0
+    for p in ("nan", "inf"):  # the hypotheses take p in (1, inf)
+        for variant in ("wk", "l2"):
+            assert cli_main(["validate-exponents", "2", "1", p, variant]) == 2
     assert cli_main(["validate-exponents", "4", "1", "5", "l2"]) == 2
     err_out = capsys.readouterr().out
     assert "d < 4" in err_out
