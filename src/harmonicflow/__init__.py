@@ -25,7 +25,6 @@ from .meshes import (  # noqa: F401
 )
 from .fields import (  # noqa: F401
     MapField,
-    TangentField,
     constant_map,
     degree_circle_map,
     identity_sphere_map,

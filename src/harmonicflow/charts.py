@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartRadiusExceeded
-from .fields import MapField, TangentField, _unchecked, random_tangent_stack
+from .fields import MapField, _unchecked, random_tangent_stack
 from .meshes import row_dots, sobolev_norm, stack_chunks
 from .rng import stream
 
@@ -36,15 +36,14 @@ def pull(f: MapField, f1: np.ndarray) -> np.ndarray:
     return u
 
 
-def chart_push(f: MapField, u: TangentField) -> MapField:
-    """Phi_f(u) = pi(f + u), vertexwise."""
-    return _unchecked(MapField, values=push(f, u.values[:, None])[:, 0], target=f.target,
-                      mesh=f.mesh)
+def chart_push(f: MapField, u: np.ndarray) -> MapField:
+    """Phi_f(u) = pi(f + u), vertexwise, for one (V, n) tangent field u."""
+    return _unchecked(MapField, values=push(f, u[:, None])[:, 0], target=f.target, mesh=f.mesh)
 
 
-def chart_pull(f: MapField, f1: MapField) -> TangentField:
-    """Tangent u with pi(f + u) = f1 (see ``pull``)."""
-    return _unchecked(TangentField, values=pull(f, f1.values[:, None])[:, 0], base=f)
+def chart_pull(f: MapField, f1: MapField) -> np.ndarray:
+    """The (V, n) tangent field u with pi(f + u) = f1 (see ``pull``)."""
+    return pull(f, f1.values[:, None])[:, 0]
 
 
 @dataclass

@@ -239,7 +239,11 @@ def run_scenario(
     root = os.environ.get(OUTPUT_ROOT_ENV)
     if root:
         out_dir = os.path.join(root, out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot make output directory {out_dir}: {exc}", file=sys.stderr)
+        return 2
 
     analyses = [only_analysis] if only_analysis else list(scn.analyses)
     code, run = 0, None

@@ -162,11 +162,12 @@ Scenario = SimpleNamespace
 
 
 def parse_config(path: str) -> Scenario:
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # no interpolation: a '%' in a value, as in output_dir = runs/100%, is literal
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     cp.optionxform = str  # keep option case: the torus radii R and r differ
     try:
-        read = cp.read(path)
-    except configparser.Error as exc:
+        read = cp.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

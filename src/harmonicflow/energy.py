@@ -34,7 +34,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure
-from .fields import MapField, TangentField
+from .fields import MapField
 from .meshes import SourceMesh, _largest_eigenvalue, l2_norm, laplace_beltrami_apply
 
 __all__ = [
@@ -59,13 +59,13 @@ def energy(f: MapField) -> float:
     return 0.5 * float(np.vdot(df, df))  # the same sum of squares, without a temporary
 
 
-def tension(f: MapField) -> TangentField:
-    """M(f) = dpi(f) Delta f, the L2 gradient of the energy."""
-    return TangentField.project(laplace_beltrami_apply(f.mesh, f.values), f)
+def tension(f: MapField) -> np.ndarray:
+    """M(f) = dpi(f) Delta f, the L2 gradient of the energy, (V, n)."""
+    return f.target.tangent_project(f.values, laplace_beltrami_apply(f.mesh, f.values))
 
 
 def grad_l2_norm(f: MapField) -> float:
-    return l2_norm(f.mesh, tension(f).values)
+    return l2_norm(f.mesh, tension(f))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Vertex-indexed maps into a target and tangent fields along them."""
+"""Vertex-indexed maps into a target; a tangent field along one is its (V, n) array."""
 
 from __future__ import annotations
 
@@ -44,35 +44,6 @@ class MapField:
         """The map pi(x), vertexwise; not re-checked."""
         values = target.project_to_target(x)
         return _unchecked(cls, values=values, target=target, mesh=mesh)
-
-
-@dataclass(eq=False)
-class TangentField:
-    """Section u with u(x) in the tangent plane of N at f(x).
-
-    The constructor checks the shape and tangency; ``TangentField.project``
-    builds dpi(f) v, which is tangent by construction.
-    """
-
-    values: np.ndarray
-    base: MapField
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.base.values.shape:
-            raise ShapeMismatch(
-                f"tangent values {self.values.shape} != base {self.base.values.shape}"
-            )
-        self.base.target.require_tangent(self.base.values, self.values)
-
-    @classmethod
-    def project(cls, v: np.ndarray, base: MapField) -> TangentField:
-        """The tangent part dpi(base) v of v along base; not re-checked."""
-        values = base.target.tangent_project(base.values, v)
-        return _unchecked(cls, values=values, base=base)
-
-    def linf(self) -> float:
-        return float(np.sqrt(np.max(row_dots(self.values, self.values))))
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +93,9 @@ def random_tangent_stack(f: MapField, rng: np.random.Generator, count: int,
     return u, uniforms
 
 
-def random_tangent_field(f: MapField, rng: np.random.Generator) -> TangentField:
-    """Ambient field over the mesh's modes projected to the tangent planes along f."""
-    return _unchecked(TangentField, values=random_tangent_stack(f, rng, 1)[0][:, 0], base=f)
+def random_tangent_field(f: MapField, rng: np.random.Generator) -> np.ndarray:
+    """Ambient field over the mesh's modes projected to the tangent planes along f, (V, n)."""
+    return random_tangent_stack(f, rng, 1)[0][:, 0]
 
 
 def perturbed_constant_map(
@@ -137,6 +108,6 @@ def perturbed_constant_map(
     """Constant map pushed off by a random tangent field of given sup amplitude."""
     f0 = constant_map(mesh, target, point)
     u = random_tangent_field(f0, rng)
-    sup = u.linf()
+    sup = np.sqrt(np.max(row_dots(u, u)))
     scale = amplitude / sup if sup > 0 else 0.0
-    return MapField.project(f0.values + scale * u.values, target, mesh)
+    return MapField.project(f0.values + scale * u, target, mesh)

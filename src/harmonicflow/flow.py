@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .fields import MapField, TangentField
+from .fields import MapField
 from .meshes import row_dots, sobolev_norm
 from .energy import energy
 
@@ -92,8 +92,8 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
     delta = f0.target.chart_radius()
 
     while True:
-        m = TangentField.project(kf / area[:, None], f)  # M(f) = dpi(f) Delta f
-        r = row_dots(m.values, m.values)  # one pass gives |M|_L2 and |M|_inf
+        m = f.target.tangent_project(f.values, kf / area[:, None])  # M(f) = dpi(f) Delta f
+        r = row_dots(m, m)  # one pass gives |M|_L2 and |M|_inf
         gn = math.sqrt(float(np.dot(area, r)))
         times.append(t)
         grad_norms.append(gn)
@@ -118,7 +118,7 @@ def run_flow(f0: MapField, control: FlowControl | None = None) -> FlowTrace:
                 dt *= 0.5
                 continue
             candidates += 1
-            candidate = MapField.project(f.values - dt * m.values, f.target, f.mesh)
+            candidate = MapField.project(f.values - dt * m, f.target, f.mesh)
             kc = K @ candidate.values
             d_e = 0.5 * float(np.vdot(candidate.values - f.values, kf + kc))
             if d_e <= ENERGY_SLACK:

@@ -116,7 +116,7 @@ def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable:
 
 def gradient_dual_norm(f: MapField, p: float) -> float:
     """Discrete stand-in for |M(f)| in W^{-1,p'} (see _wk_norm)."""
-    return _wk_norm(f.mesh, f.target.ambient_dim, 1, p)(tension(f).values)
+    return _wk_norm(f.mesh, f.target.ambient_dim, 1, p)(tension(f))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ second fundamental form, the Hessian action contracted from d2pi directly, the
 tangent frames by Gram-Schmidt on the projector, the Hessian form as a triple
 product through the frame injection, the nested dissection by recursion, and
 the stiffness matrices from their stencil weights; and what only tests apply:
-the Hessian action as the assembled form lifted to ambient fields, the second
+the sup norm of a tangent field, the Hessian action as the assembled form lifted to ambient fields, the second
 fundamental form, the flow's dissipation residual with its error for too short
 a trace, and the icosphere subdivided by the per-face loop that the
 vectorized ``build_icosphere`` must match bit for bit.  The per-sample loops of
@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from harmonicflow import (
-    ChartReport, MapField, TangentField, chart_pull, chart_push, energy, hessian_matrix,
+    ChartReport, MapField, chart_pull, chart_push, energy, hessian_matrix,
     random_tangent_field, tension,
 )
 from harmonicflow.errors import (
@@ -37,13 +37,18 @@ from harmonicflow.errors import (
 )
 from harmonicflow.fields import _unchecked
 from harmonicflow.meshes import (
-    SOBOLEV_ORDERS, _check_field, _icosahedron, l2_inner, laplace_beltrami_apply,
+    SOBOLEV_ORDERS, _check_field, _icosahedron, l2_inner, laplace_beltrami_apply, row_dots,
 )
 from harmonicflow.rng import stream
 
 
 class InsufficientSamples(HarmonicFlowError):
     """Trace does not contain enough samples for the requested analysis."""
+
+
+def linf(u: np.ndarray) -> float:
+    """sup_x |u(x)| of a (V, n) field."""
+    return float(np.sqrt(np.max(row_dots(u, u))))
 
 
 def fd_jacobian(fun, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -300,7 +305,7 @@ def tension_via_sff(f) -> np.ndarray:
 
 def gradient_pairing_check(f, u, h_step: float) -> float:
     """|centered FD of t -> E(pi(f + t u)) at 0  -  (u, M(f))_L2|."""
-    sup = u.linf()
+    sup = linf(u)
     delta = f.target.chart_radius()
     if h_step * sup >= delta:
         raise ChartRadiusExceeded(
@@ -309,10 +314,10 @@ def gradient_pairing_check(f, u, h_step: float) -> float:
     tgt, mesh = f.target, f.mesh
 
     def e_at(t: float) -> float:
-        return energy(MapField.project(f.values + t * u.values, tgt, mesh))
+        return energy(MapField.project(f.values + t * u, tgt, mesh))
 
     fd = (e_at(h_step) - e_at(-h_step)) / (2.0 * h_step)
-    return abs(fd - l2_inner(mesh, u.values, tension(f).values))
+    return abs(fd - l2_inner(mesh, u, tension(f)))
 
 
 def _block_diagonal(blocks: np.ndarray) -> sp.csr_matrix:
@@ -362,24 +367,24 @@ def hessian_apply(f, v):
     """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
     B = _block_diagonal(f.target.tangent_frames(f.values))
     op = hessian_matrix(f)
-    hv = B @ ((op.form @ (B.T @ v.values.ravel())) / op.mass)
-    return TangentField(hv.reshape(v.values.shape), f)
+    hv = B @ ((op.form @ (B.T @ v.ravel())) / op.mass)
+    return hv.reshape(v.shape)
 
 
 def reference_hessian_apply(f, v):
     """H(f) v = dpi(f) Delta v + tangent representative of <d2pi(f)(v, .), Delta f>,
     contracted per ambient direction, without tangent frames or the assembled form."""
-    lap_v = laplace_beltrami_apply(f.mesh, v.values)
+    lap_v = laplace_beltrami_apply(f.mesh, v)
     lap_f = laplace_beltrami_apply(f.mesh, f.values)
     n = f.target.ambient_dim
     g = np.empty_like(f.values)
     eye = np.eye(n)
     for c in range(n):
         d2 = f.target.ambient_hessian_of_projection(
-            f.values, v.values, np.broadcast_to(eye[c], f.values.shape)
+            f.values, v, np.broadcast_to(eye[c], f.values.shape)
         )
         g[:, c] = np.einsum("vi,vi->v", d2, lap_f)
-    return TangentField.project(lap_v + g, f)
+    return f.target.tangent_project(f.values, lap_v + g)
 
 
 def recursive_dissection_order(mesh, leaf: int) -> np.ndarray:
@@ -494,14 +499,14 @@ def reference_bilipschitz_estimate(f, radius, samples, norm=(1, 2.0), seed=0) ->
     used = 0
     for _ in range(int(samples)):
         u = random_tangent_field(f, rng)
-        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        n_u = reference_sobolev_norm(mesh, u, k, p)
         if n_u == 0.0:
             continue
-        u.values *= radius * rng.uniform(0.1, 1.0) / n_u
-        if u.linf() >= delta:
-            u.values *= 0.5 * delta / u.linf()
+        u *= radius * rng.uniform(0.1, 1.0) / n_u
+        if linf(u) >= delta:
+            u *= 0.5 * delta / linf(u)
         f1 = chart_push(f, u)
-        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        n_u = reference_sobolev_norm(mesh, u, k, p)
         n_d = reference_sobolev_norm(mesh, f.values - f1.values, k, p)
         if n_d == 0.0:
             continue
@@ -509,7 +514,7 @@ def reference_bilipschitz_estimate(f, radius, samples, norm=(1, 2.0), seed=0) ->
         max_ratio = max(max_ratio, ratio)
         min_ratio = min(min_ratio, ratio)
         back = chart_pull(f, f1)
-        max_rt = max(max_rt, float(np.max(np.linalg.norm(back.values - u.values, axis=1))))
+        max_rt = max(max_rt, float(np.max(np.linalg.norm(back - u, axis=1))))
         used += 1
     c4 = max(max_ratio, 1.0 / min_ratio) if used else 1.0
     return ChartReport(
@@ -529,17 +534,17 @@ def reference_sample_neighborhood(f_inf, sigma, count, norm=(1, 2.0), seed=0) ->
     for _ in range(int(count)):
         u = random_tangent_field(f_inf, rng)
         target_norm = sigma * rng.uniform(0.0, 1.0)
-        n_u = reference_sobolev_norm(mesh, u.values, k, p)
+        n_u = reference_sobolev_norm(mesh, u, k, p)
         if n_u == 0.0:
             continue
-        u.values *= target_norm / n_u
+        u *= target_norm / n_u
         f = chart_push(f_inf, u)
         # enforce the neighborhood condition on the map difference itself
         for _ in range(8):
             d = reference_sobolev_norm(mesh, f.values - f_inf.values, k, p)
             if d < sigma:
                 break
-            u.values *= 0.9 * sigma / d
+            u *= 0.9 * sigma / d
             f = chart_push(f_inf, u)
         out.append(f)
     return out

@@ -42,7 +42,9 @@ from harmonicflow.lojasiewicz import classify_morse_bott
 from harmonicflow.meshes import l2_inner, l2_norm
 from harmonicflow.rng import stream
 
-from oracles import dense_laplacian_spectrum, gradient_pairing_check, hessian_apply, tension_via_sff
+from oracles import (
+    dense_laplacian_spectrum, gradient_pairing_check, hessian_apply, linf, tension_via_sff,
+)
 from test_lojasiewicz import columns_trace, hand_table
 
 
@@ -54,7 +56,7 @@ def report(criterion, ok, detail):
 def near_identity(mesh, s2, amplitude=0.2, seed=7):
     idm = identity_sphere_map(mesh, s2)
     u = random_tangent_field(idm, stream(seed, "near-identity"))
-    vals = s2.project_to_target(idm.values + (amplitude / u.linf()) * u.values)
+    vals = s2.project_to_target(idm.values + (amplitude / linf(u)) * u)
     return MapField(vals, s2, mesh)
 
 
@@ -79,7 +81,7 @@ def test_criterion_02_tension_formula_equivalence(ico4, s2):
     rels = []
     for mesh in (ico4, build_icosphere(5)):
         f = near_identity(mesh, s2)
-        t1 = tension(f).values
+        t1 = tension(f)
         t2 = tension_via_sff(f)
         rels.append(l2_norm(mesh, t1 - t2) / l2_norm(mesh, t1))
     ok = rels[0] <= 1e-2 and rels[1] < rels[0]
@@ -89,7 +91,7 @@ def test_criterion_02_tension_formula_equivalence(ico4, s2):
 def test_criterion_03_gradient_pairing(ico3, s2):
     f = near_identity(ico3, s2)
     u = random_tangent_field(f, stream(2, "pairing"))
-    scale = l2_norm(ico3, u.values) * grad_l2_norm(f)
+    scale = l2_norm(ico3, u) * grad_l2_norm(f)
     res = [gradient_pairing_check(f, u, h) / scale for h in (1e-3, 1e-4, 1e-5)]
     second_order = 30 <= res[0] / res[1] <= 300
     ok = second_order and res[2] <= 1e-6
@@ -101,10 +103,10 @@ def test_criterion_04_hessian_consistency(ico2, ico3, s2, circle256, s1):
     f = perturbed_constant_map(ico2, s2, 0.15, stream(9, "hessfd"))
     v = random_tangent_field(f, stream(10, "hessfd-v"))
     w = random_tangent_field(f, stream(11, "hessfd-w"))
-    pair = l2_inner(ico2, w.values, hessian_apply(f, v).values)
+    pair = l2_inner(ico2, w, hessian_apply(f, v))
 
     def e_at(s, t):
-        g = s2.project_to_target(f.values + s * v.values + t * w.values)
+        g = s2.project_to_target(f.values + s * v + t * w)
         return energy(MapField(g, s2, ico2))
 
     resid = []
@@ -228,9 +230,9 @@ def test_criterion_08_chart_audit(ico3, s2):
     f = identity_sphere_map(ico3, s2)
     delta = s2.tubular_radius()
     u = random_tangent_field(f, stream(4, "chart"))
-    u.values *= (delta / 4) / u.linf()
+    u *= (delta / 4) / linf(u)
     back = chart_pull(f, chart_push(f, u))
-    rt = float(np.max(np.linalg.norm(back.values - u.values, axis=1)))
+    rt = float(np.max(np.linalg.norm(back - u, axis=1)))
     c4_work = bilipschitz_estimate(f, 0.1 * delta, 32, seed=3).c4_estimate
     c4_tiny = bilipschitz_estimate(f, 1e-4, 16, seed=3).c4_estimate
     ok = rt <= 1e-9 and c4_work <= 2.0 and c4_tiny <= 1.0 + 1e-2

@@ -12,7 +12,6 @@ import scipy.sparse.linalg as spla
 from harmonicflow import (
     CliffordTorus,
     MapField,
-    TangentField,
     TorusOfRevolution,
     UnitSphere,
     build_circle,
@@ -29,13 +28,13 @@ from harmonicflow import (
     random_tangent_field,
     tension,
 )
-from harmonicflow.errors import EigensolveFailure, NonTangentInput, NotOnTarget, ShapeMismatch
+from harmonicflow.errors import EigensolveFailure, NotOnTarget, ShapeMismatch
 from harmonicflow.meshes import l2_inner, l2_norm, laplace_beltrami_apply, random_scalar_field
 from harmonicflow.rng import stream
 from harmonicflow.targets import EmbeddedTarget
 
 from oracles import (
-    dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, projector_frames,
+    dense_hessian_eigenvalues, gradient_pairing_check, hessian_apply, linf, projector_frames,
     reference_hessian_apply, single_band_eigenvalues, tension_via_sff, triple_product_hessian_form,
 )
 
@@ -43,8 +42,8 @@ from oracles import (
 def near_identity_map(mesh, s2, amplitude=0.2, seed=7):
     idm = identity_sphere_map(mesh, s2)
     u = random_tangent_field(idm, stream(seed, "near-identity"))
-    scale = amplitude / u.linf()
-    vals = s2.project_to_target(idm.values + scale * u.values)
+    scale = amplitude / linf(u)
+    vals = s2.project_to_target(idm.values + scale * u)
     return MapField(vals, s2, mesh)
 
 
@@ -62,12 +61,6 @@ def test_map_field_rejects_nan_value(ico2, s2):
     vals[5, 1] = np.nan  # max(dist) > tol is False for NaN: must still fail
     with pytest.raises(NotOnTarget):
         MapField(vals, s2, ico2)
-
-
-def test_tangent_field_rejects_non_tangent(ico2, s2):
-    f = constant_map(ico2, s2)
-    with pytest.raises(NonTangentInput):
-        TangentField(f.values.copy(), f)  # the position field is normal, not tangent
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +99,7 @@ def test_energy_resolves_tiny_gaps(ico3, s2):
     # The edge-difference form meets this to ~1e-15 at eps = 1e-8; the
     # algebraically equal 1/2 sum f.Kf cancels O(1) terms and is off by O(1).
     c = constant_map(ico3, s2)
-    u = random_tangent_field(c, stream(0, "energy-resolution")).values
+    u = random_tangent_field(c, stream(0, "energy-resolution"))
     eps = 1e-8
     f_eps = MapField(s2.project_to_target(c.values + eps * u), s2, ico3)
     quad = 0.5 * float(np.sum(u * (ico3.stiffness @ u)))
@@ -118,7 +111,7 @@ def test_energy_resolves_tiny_gaps(ico3, s2):
 
 def test_tension_constant_map_vanishes(ico3, s2):
     m = tension(constant_map(ico3, s2))
-    assert l2_norm(ico3, m.values) <= 1e-12
+    assert l2_norm(ico3, m) <= 1e-12
 
 
 def test_tension_identity_circle_discretely_harmonic(circle256, s1):
@@ -148,9 +141,9 @@ def test_tension_identity_sphere_refines(ico3, ico4, s2):
 
 def test_tension_output_is_tangent(ico3, s2):
     f = near_identity_map(ico3, s2)
-    m = tension(f)  # tangent by construction (TangentField.project); check the bound
+    m = tension(f)  # tangent by construction (tangent_project); check the bound
     P = s2.tangent_projector(f.values)
-    resid = np.einsum("vij,vj->vi", P, m.values) - m.values
+    resid = np.einsum("vij,vj->vi", P, m) - m
     assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12
 
 
@@ -184,7 +177,7 @@ def test_tension_formula_equivalence_refines(ico3, ico4, s2):
     rels = []
     for mesh in (ico3, ico4):
         f = near_identity_map(mesh, s2)
-        t1 = tension(f).values
+        t1 = tension(f)
         t2 = tension_via_sff(f)
         rels.append(l2_norm(mesh, t1 - t2) / l2_norm(mesh, t1))
     assert rels[1] <= 1e-2
@@ -196,7 +189,7 @@ def test_tension_formula_equivalence_refines(ico3, ico4, s2):
 
 def test_pairing_zero_direction(ico2, s2):
     f = constant_map(ico2, s2)
-    u = TangentField(np.zeros_like(f.values), f)
+    u = np.zeros_like(f.values)
     assert gradient_pairing_check(f, u, 1e-4) == 0.0
 
 
@@ -209,7 +202,7 @@ def test_pairing_constant_map_both_sides_vanish(ico2, s2):
 def test_pairing_second_order_with_floor(ico3, s2):
     f = near_identity_map(ico3, s2)
     u = random_tangent_field(f, stream(2, "pair"))
-    scale = l2_norm(ico3, u.values) * grad_l2_norm(f)
+    scale = l2_norm(ico3, u) * grad_l2_norm(f)
     residuals = [gradient_pairing_check(f, u, h) / scale for h in (1e-3, 1e-4, 1e-5)]
     assert residuals[-1] <= 1e-6
     # second-order decay until the floor
@@ -224,16 +217,16 @@ def test_hessian_apply_constant_map_is_plane_laplacian(ico2, s2):
     f = constant_map(ico2, s2)
     v = random_tangent_field(f, stream(3, "hess"))
     hv = hessian_apply(f, v)
-    lap = (ico2.stiffness @ v.values) / ico2.area[:, None]
+    lap = (ico2.stiffness @ v) / ico2.area[:, None]
     # second term dies with Delta f = 0; tangent plane is fixed so P lap = lap
-    assert np.max(np.abs(hv.values - lap)) <= 1e-12
+    assert np.max(np.abs(hv - lap)) <= 1e-12
 
 
 def test_hessian_apply_constant_section_in_kernel(ico2, s2):
     f = constant_map(ico2, s2)
     c = np.tile(np.array([1.0, 0.0, 0.0]), (ico2.vertex_count, 1))  # tangent at pole
-    hv = hessian_apply(f, TangentField(c, f))
-    assert np.max(np.abs(hv.values)) <= 1e-12
+    hv = hessian_apply(f, c)
+    assert np.max(np.abs(hv)) <= 1e-12
 
 
 def test_hessian_apply_killing_field_refines(ico2, ico3, s2):
@@ -242,7 +235,7 @@ def test_hessian_apply_killing_field_refines(ico2, ico3, s2):
         idm = identity_sphere_map(mesh, s2)
         w = np.array([0.3, -0.5, 0.8])
         kf = np.cross(np.broadcast_to(w, idm.values.shape), idm.values)
-        norms.append(l2_norm(mesh, hessian_apply(idm, TangentField(kf, idm)).values))
+        norms.append(l2_norm(mesh, hessian_apply(idm, kf)))
     assert norms[1] < norms[0] / 1.5
 
 
@@ -283,10 +276,10 @@ def test_hessian_fd_consistency(request, case):
     f = perturbed_constant_map(mesh, tgt, 0.15, stream(9, "fd"))
     v = random_tangent_field(f, stream(10, "fd-v"))
     w = random_tangent_field(f, stream(11, "fd-w"))
-    pair = l2_inner(mesh, w.values, hessian_apply(f, v).values)
+    pair = l2_inner(mesh, w, hessian_apply(f, v))
 
     def e_at(s, t):
-        g = tgt.project_to_target(f.values + s * v.values + t * w.values)
+        g = tgt.project_to_target(f.values + s * v + t * w)
         return energy(MapField(g, tgt, mesh))
 
     resid = []
@@ -322,8 +315,8 @@ def test_hessian_apply_matches_reference_derivation(request, case):
     f = build(request.getfixturevalue(mesh_name))
     for i in range(5):
         v = random_tangent_field(f, stream(i, "hessian-lift"))
-        want = reference_hessian_apply(f, v).values
-        got = hessian_apply(f, v).values
+        want = reference_hessian_apply(f, v)
+        got = hessian_apply(f, v)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -316,6 +316,8 @@ def test_unknown_enum_value_rejected_at_parse(tmp_path, section, key):
     pytest.param("scenario", {"seed": 1, "analyses": "flow, loja-fit,"},
                  {"analyses": ["flow", "loja-fit"]}, id="analyses-trailing-comma"),
     pytest.param("mult_probe", {"levels": "8, 404"}, {"levels": [8, 404]}, id="levels-8-404"),
+    pytest.param("scenario", {"seed": 1, "output_dir": "runs/100%"}, {"output_dir": "runs/100%"},
+                 id="output_dir-percent"),  # read literally, not as an interpolation
 ])
 def test_config_spellings_accepted(tmp_path, section, keys, want):
     parsed = parse_config(minimal_cfg(tmp_path, **{section: keys})).echo[section]
@@ -333,6 +335,13 @@ def test_config_spellings_accepted(tmp_path, section, keys, want):
 def test_config_spellings_rejected(tmp_path, section, key, raw):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key} = '{raw}'"):
         parse_config(minimal_cfg(tmp_path, **{section: {key: raw}}))
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(Path(minimal_cfg(tmp_path)).read_bytes() + "# café\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="latin1.cfg.*utf-8"):
+        parse_config(str(path))
 
 
 def test_minimal_flow_section_is_flow_control_defaults(tmp_path):
@@ -885,11 +894,30 @@ def test_cli_output_root_env(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "nested" / "run_manifest.json").exists()
 
 
-def test_cli_entry_point_subprocess(tmp_path):
-    path = write_cfg(tmp_path, BASE_CFG.format(analyses=""))
+def test_cli_unusable_output_dir_exits_2(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"  # below a regular file
+    cfg = BASE_CFG.format(analyses="").replace("[scenario]", f"[scenario]\noutput_dir = {out}")
+    assert cli_main(["run", write_cfg(tmp_path, cfg)]) == 2
+    assert f"config error: cannot make output directory {out}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("run_manifest.json"))
+
+
+# a good config, and boundary cases that once ended in a traceback with exit 1
+@pytest.mark.parametrize("case,code", [
+    pytest.param(case, code, id=case) for case, code in (
+        ("good", 0), ("output_dir-percent", 0), ("not-utf8", 2), ("output_dir-below-a-file", 2))
+])
+def test_cli_entry_point_subprocess(tmp_path, case, code):
+    out = {"output_dir-percent": tmp_path / "100%",
+           "output_dir-below-a-file": tmp_path / "afile" / "sub"}.get(case, tmp_path / "o")
+    (tmp_path / "afile").write_text("")
+    cfg = BASE_CFG.format(analyses="").replace("[scenario]", f"[scenario]\noutput_dir = {out}")
+    path = tmp_path / "scn.cfg"
+    path.write_bytes((cfg + ("# café\n" if case == "not-utf8" else "")).encode("latin-1"))
     proc = subprocess.run(
-        [sys.executable, "-m", "harmonicflow.cli", "run", path, "--out", str(tmp_path / "o")],
-        capture_output=True,
-        text=True,
+        [sys.executable, "-m", "harmonicflow.cli", "run", str(path)], capture_output=True, text=True,
     )
-    assert proc.returncode == 0
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (out / "run_manifest.json").exists() == (code == 0)

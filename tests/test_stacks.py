@@ -34,7 +34,7 @@ import harmonicflow.cli as cli_module
 from harmonicflow.charts import pull, push
 from harmonicflow.config import parse_config
 from harmonicflow.errors import ChartRadiusExceeded, NonTangentInput
-from harmonicflow.fields import TangentField, _unchecked, random_tangent_stack
+from harmonicflow.fields import random_tangent_stack
 from harmonicflow.meshes import STACK_ELEMENTS, l2_norm, sobolev_norm, stack_chunks
 from harmonicflow.rng import stream
 
@@ -160,8 +160,8 @@ def test_verify_stacks_match_per_sample_energy_and_tension(pair):
         stacks = [stack_maps(samples[c])
                   for c in stack_chunks(mesh, f_inf.target.ambient_dim, count)]
         gaps = [abs(energy(f) - e_inf) for f in samples]
-        l2 = [l2_norm(mesh, tension(f).values) for f in samples]
-        dual = [dual_norm_per_field(mesh, tension(f).values, 3.0) for f in samples]
+        l2 = [l2_norm(mesh, tension(f)) for f in samples]
+        dual = [dual_norm_per_field(mesh, tension(f), 3.0) for f in samples]
         for norm_used, grads in (("l2", l2), ("wk_minus_2_p", dual)):
             rep = verify_inequality(stacks, f_inf, 0.5, 0.9, norm_used, k=1, dual_p=3.0)
             assert len(rep.gap) == count
@@ -267,7 +267,7 @@ def test_push_checks_each_field_of_a_stack(ico2, s2):
 # row norms: sqrt(row_dots(x, x)) in place of np.linalg.norm(x, axis=-1)
 
 @pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
-def test_row_norms_are_np_linalg_norm_bitwise(ico2, s2, bad):
+def test_row_norms_are_np_linalg_norm_bitwise(ico2, bad):
     x = np.random.default_rng(4).standard_normal((ico2.vertex_count, 17, 4))
     if bad is not None:
         x[5, 3, 1] = x[9, 0, 2] = bad
@@ -276,14 +276,6 @@ def test_row_norms_are_np_linalg_norm_bitwise(ico2, s2, bad):
     rho = np.linalg.norm(x.reshape(x.shape[:-1] + (2, 2)), axis=-1)
     want = np.linalg.norm(rho - 1.0, axis=-1)
     assert np.array_equal(CliffordTorus(2).distance(x), want, equal_nan=True)
-    f = constant_map(ico2, s2)
-    u, _ = random_tangent_stack(f, stream(2, "row-norms"), 1)
-    v = u[:, 0]
-    if bad is not None:
-        v[7, 0] = bad
-    want = np.max(np.linalg.norm(v, axis=1))
-    assert np.array_equal(_unchecked(TangentField, values=v, base=f).linf(), want,
-                          equal_nan=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from harmonicflow import CliffordTorus, MapField, TangentField, TorusOfRevolution, UnitSphere
+from harmonicflow import CliffordTorus, MapField, TorusOfRevolution, UnitSphere
 from harmonicflow.errors import (
     InvalidSpec,
     NonTangentInput,
@@ -79,10 +79,6 @@ def test_projection_constructors_equal_checked_path(ico2, target):
     checked = MapField(target.project_to_target(x), target, ico2)
     assert (g.target, g.mesh) == (target, ico2)
     assert np.array_equal(g.values, checked.values)
-    v = rng.standard_normal(f.values.shape)
-    u = TangentField.project(v, f)
-    assert u.base is f
-    assert np.array_equal(u.values, TangentField(target.tangent_project(f.values, v), f).values)
 
 
 def test_torus_projection_example_and_brute_force():
