@@ -19,7 +19,6 @@ from .meshes import (  # noqa: F401
     build_source,
     l2_inner,
     laplace_beltrami_apply,
-    lp_norm,
     sobolev_multiplication_probe,
     sobolev_norm,
 )

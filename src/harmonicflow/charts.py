@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartRadiusExceeded
-from .fields import MapField, _unchecked, random_tangent_stack
-from .meshes import row_dots, sobolev_norm, stack_chunks
+from .fields import MapField, _unchecked, tangent_stacks
+from .meshes import row_dots, sobolev_norm
 from .rng import stream
 
 __all__ = ["chart_push", "chart_pull", "push", "pull", "bilipschitz_estimate", "ChartReport"]
@@ -70,20 +70,14 @@ def bilipschitz_estimate(
     if radius >= delta:
         raise ChartRadiusExceeded(f"radius {radius:.3e} >= {delta:.3e}")
     k, p = norm
-    rng = stream(seed, "chart-bilipschitz")
-    mesh = f.mesh
     ratios, max_rt = [np.empty(0)], 0.0
-    for chunk in stack_chunks(mesh, f.target.ambient_dim, int(samples)):
-        u, w = random_tangent_stack(f, rng, chunk.stop - chunk.start, 0.1)
-        n_u = sobolev_norm(mesh, u, k, p)
-        keep = n_u > 0.0  # a zero field is skipped, not counted
-        u = u[:, keep] * (radius * w[keep] / n_u[keep])[:, None]
+    for u, n_u in tangent_stacks(f, stream(seed, "chart-bilipschitz"), samples, radius, 0.1, norm):
         sup = np.sqrt(np.max(row_dots(u, u), axis=0))
         shrink = np.where(sup >= delta, 0.5 * delta / sup, 1.0)
         u *= shrink[:, None]
-        n_u = radius * w[keep] * shrink  # |u| after scaling, by homogeneity
+        n_u *= shrink  # |u| after scaling, by homogeneity
         f1 = push(f, u)
-        n_d = sobolev_norm(mesh, f.values[:, None, :] - f1, k, p)
+        n_d = sobolev_norm(f.mesh, f.values[:, None, :] - f1, k, p)
         used = n_d != 0.0
         if used.any():
             err = pull(f, f1[:, used]) - u[:, used]

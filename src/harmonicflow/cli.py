@@ -184,13 +184,9 @@ class _Run:
         vf = self.scn.verify
         verdict = self.verify_verdict()
         f_inf = self.limit_map()
-        samples = loja.sample_neighborhood(
-            f_inf, vf["sigma"], vf["count"], norm=(vf["k"], vf["p"]), seed=self.scn.seed
-        )
-        norm_used = "l2" if vf["norm"] == "l2" else "wk_minus_2_p"
-        report = loja.verify_inequality(
-            samples, f_inf, vf["theta"], vf["z"], norm_used, k=vf["k"], dual_p=vf["p"]
-        )
+        norm = (vf["k"], vf["p"])
+        samples = loja.sample_neighborhood(f_inf, vf["sigma"], vf["count"], norm, self.scn.seed)
+        report = loja.verify_inequality(samples, f_inf, vf["theta"], vf["z"], vf["variant"], norm)
         payload = report.to_json_dict()
         payload["exponent_clause"] = verdict.reason
         write_json(payload, self.record("verify_margins.json"))
@@ -275,7 +271,7 @@ def run_scenario(
         "wall_time_s": time.monotonic() - t_start,
         "outputs": [
             {"path": name, "sha256": hashlib.sha256(Path(out_dir, name).read_bytes()).hexdigest()}
-            for name in sorted(run.outputs) if Path(out_dir, name).exists()
+            for name in sorted(run.outputs) if Path(out_dir, name).is_file()
         ],
     }
     if code:  # the outputs written before the failure, and the analysis that failed

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ShapeMismatch
-from .meshes import SourceMesh, row_dots
+from .meshes import SourceMesh, row_dots, sobolev_norm, stack_chunks
 from .targets import EmbeddedTarget, UnitSphere
 
 
@@ -77,25 +78,33 @@ def degree_circle_map(mesh: SourceMesh, target: EmbeddedTarget, k: int) -> MapFi
     return MapField(values, target, mesh)
 
 
-def random_tangent_stack(f: MapField, rng: np.random.Generator, count: int,
-                         low: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """``count`` fields over the mesh's modes projected to the tangent planes along
-    f, one (V, count, n) stack from one product and one projection.  With ``low``,
-    each field's draw is followed by a uniform(low, 1) draw; returns (stack, uniforms)."""
-    shape = (f.mesh.modes.shape[1], f.target.ambient_dim)
-    coeffs, uniforms = np.empty((count, *shape)), np.full(count, np.nan)
-    for s in range(count):
-        coeffs[s] = rng.standard_normal(shape)
-        if low is not None:
-            uniforms[s] = rng.uniform(low, 1.0)
-    raw = f.mesh.modes @ coeffs.transpose(1, 0, 2).reshape(shape[0], -1)  # (V, count n)
-    u = f.target.tangent_project(f.values[:, None, :], raw.reshape(len(raw), count, -1))
-    return u, uniforms
+def tangent_stacks(f: MapField, rng: np.random.Generator, count: int, radius: float,
+                   low: float, norm: tuple[int, float]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``count`` seeded fields over the mesh's modes projected to the tangent planes
+    along f, each scaled to W^{k,p} norm radius * uniform(low, 1), a zero draw skipped.
+    Yields (stack, norms) a (V, S, n) stack of stack_chunks at a time: one modes
+    product and one projection per stack, and only the yielded arrays held."""
+    k, p = norm
+    mesh, n = f.mesh, f.target.ambient_dim
+    shape = (mesh.modes.shape[1], n)
+    for chunk in stack_chunks(mesh, n, int(count)):
+        size = chunk.stop - chunk.start
+        coeffs, w = np.empty((size, *shape)), np.empty(size)
+        for s in range(size):
+            coeffs[s], w[s] = rng.standard_normal(shape), rng.uniform(low, 1.0)
+        raw = mesh.modes @ coeffs.transpose(1, 0, 2).reshape(shape[0], -1)  # (V, S n)
+        u = f.target.tangent_project(f.values[:, None, :], raw.reshape(len(raw), size, n))
+        del raw
+        n_u = sobolev_norm(mesh, u, k, p)
+        keep = n_u > 0.0  # a zero field is skipped, not counted
+        u = u[:, keep] * (radius * w[keep] / n_u[keep])[:, None]
+        yield u, radius * w[keep]
 
 
 def random_tangent_field(f: MapField, rng: np.random.Generator) -> np.ndarray:
     """Ambient field over the mesh's modes projected to the tangent planes along f, (V, n)."""
-    return random_tangent_stack(f, rng, 1)[0][:, 0]
+    raw = f.mesh.modes @ rng.standard_normal((f.mesh.modes.shape[1], f.target.ambient_dim))
+    return f.target.tangent_project(f.values, raw)
 
 
 def perturbed_constant_map(

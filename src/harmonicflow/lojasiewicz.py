@@ -22,10 +22,10 @@ from .errors import (
     NotCritical,
     UnsupportedOrder,
 )
-from .fields import MapField, random_tangent_stack
+from .fields import MapField, tangent_stacks
 from .flow import FlowControl, FlowTrace
 from .meshes import (
-    ExponentVerdict, SourceMesh, laplace_beltrami_apply, lp_norm, row_dots, sobolev_norm,
+    VARIANTS, ExponentVerdict, SourceMesh, laplace_beltrami_apply, row_dots, sobolev_norm,
     stack_chunks, validate_exponents,
 )
 from .rng import stream
@@ -44,6 +44,7 @@ __all__ = [
     "classify_morse_bott",
     "ConvergenceVerdict",
     "convergence_classifier",
+    "gradient_norm",
     "gradient_dual_norm",
 ]
 
@@ -61,13 +62,8 @@ def sample_neighborhood(
     """Seeded random maps with |f - f_inf|_{W^{k,p}} uniform in (0, sigma), drawn,
     pushed and yielded a (V, S, n) stack at a time, so only one stack is held."""
     k, p = norm
-    rng = stream(seed, "loja-neighborhood")
     mesh = f_inf.mesh
-    for chunk in stack_chunks(mesh, f_inf.target.ambient_dim, int(count)):
-        u, w = random_tangent_stack(f_inf, rng, chunk.stop - chunk.start, 0.0)
-        n_u = sobolev_norm(mesh, u, k, p)
-        keep = n_u > 0.0  # a zero field is skipped, not counted
-        u = u[:, keep] * (sigma * w[keep] / n_u[keep])[:, None]
+    for u, _ in tangent_stacks(f_inf, stream(seed, "loja-neighborhood"), count, sigma, 0.0, norm):
         f = push(f_inf, u)
         # enforce the neighborhood condition on the map difference itself, where it fails
         far = np.arange(f.shape[1])
@@ -81,18 +77,22 @@ def sample_neighborhood(
         yield f
 
 
-def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable:
-    """|M| in the discrete W^{k-2,p} family of tension values M, (S,) norms of a
-    (V, S, n) stack or a float for one (V, n) field: L^p for k = 2; for k = 1 the
-    dual-norm stand-in, the sup of (M, v) / |v|_{W^{1,p'}} over a band-limited
-    test family built here, once.
+def gradient_norm(mesh: SourceMesh, n: int, variant: str, k: int, p: float) -> Callable:
+    """|M| of tension values M, (S,) norms of a (V, S, n) stack or a float for one
+    (V, n) field.  Variant ``l2``: the area-weighted L^2 norm.  Variant ``wk``: the
+    discrete W^{k-2,p} norm, L^p for k = 2; for k = 1 the dual-norm stand-in, the
+    sup of (M, v) / |v|_{W^{1,p'}} over a band-limited test family built here, once.
 
     The test fields are v = basis @ G over the mode basis: each mode in each
     ambient component, then 32 seeded probes.  Their pairings with M are
     G contracted with basis^T (area M).
     """
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    if variant == "l2":
+        return lambda m: np.sqrt(mesh.area @ row_dots(m, m))
     if k == 2:
-        return lambda m: lp_norm(mesh, m, p)
+        return lambda m: sobolev_norm(mesh, m, 0, p)
     if k != 1:
         raise UnsupportedOrder(f"gradient norm family implemented for k in (1, 2), got {k}")
     basis = mesh.modes
@@ -115,8 +115,8 @@ def _wk_norm(mesh: SourceMesh, n: int, k: int, p: float) -> Callable:
 
 
 def gradient_dual_norm(f: MapField, p: float) -> float:
-    """Discrete stand-in for |M(f)| in W^{-1,p'} (see _wk_norm)."""
-    return _wk_norm(f.mesh, f.target.ambient_dim, 1, p)(tension(f))
+    """Discrete stand-in for |M(f)| in W^{-1,p'} (see gradient_norm)."""
+    return gradient_norm(f.mesh, f.target.ambient_dim, "wk", 1, p)(tension(f))
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +151,14 @@ def verify_inequality(
     f_inf: MapField,
     theta: float,
     z: float,
-    norm_used: str = "l2",
-    k: int = 1,
-    dual_p: float = 2.0,
+    variant: str = "l2",
+    norm: tuple[int, float] = (1, 2.0),
 ) -> InequalityReport:
     """Per-sample table of |M(f)| versus Z |E(f) - E(f_inf)|^theta over (V, S, n)
-    sample stacks, each measured as it arrives (sample_neighborhood yields them)."""
+    sample stacks, each measured as it arrives (sample_neighborhood yields them);
+    |M| in the ``variant`` norm at (k, p) = ``norm`` (see gradient_norm)."""
     mesh, n = f_inf.mesh, f_inf.target.ambient_dim
-    if norm_used == "l2":
-        grad_norm = lambda m: np.sqrt(mesh.area @ row_dots(m, m))
-    elif norm_used == "wk_minus_2_p":
-        grad_norm = _wk_norm(mesh, n, k, dual_p)
-    else:
-        raise ValueError(f"unknown norm_used {norm_used!r}")
+    grad_norm = gradient_norm(mesh, n, variant, *norm)
     e_inf = energy(f_inf)
     gaps, gns = [np.empty(0)], [np.empty(0)]
     for f in samples:
@@ -184,7 +179,7 @@ def verify_inequality(
     return InequalityReport(
         theta=theta,
         z=z,
-        norm_used=norm_used,
+        norm_used=variant,
         gap=np.array(gaps, dtype=float),
         grad_norm=np.array(gns, dtype=float),
         ratio=np.array(ratios, dtype=float),

@@ -48,7 +48,6 @@ __all__ = [
     "laplace_beltrami_apply",
     "l2_inner",
     "row_dots",
-    "lp_norm",
     "sobolev_norm",
     "random_scalar_field",
     "validate_exponents",
@@ -445,10 +444,6 @@ def sobolev_norm(mesh: SourceMesh, f: np.ndarray, k: int, p: float):
         total += integral(laplace_beltrami_apply(mesh, cols))
     norms = total ** (1.0 / p)
     return norms if f.ndim == 3 else float(norms[0])
-
-
-def lp_norm(mesh: SourceMesh, f: np.ndarray, p: float) -> float:
-    return sobolev_norm(mesh, f, 0, p)
 
 
 # ---------------------------------------------------------------------------

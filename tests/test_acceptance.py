@@ -161,7 +161,7 @@ def test_criterion_06_lojasiewicz_exponent(constant_basin_trace, ico3, s2):
     span = math.log10(fit.window[1] / fit.window[0])
     f_const = constant_map(ico3, s2)
     samples = sample_neighborhood(f_const, 0.1, 32, seed=5)
-    rep = verify_inequality(samples, f_const, 0.5, 0.9, norm_used="l2")
+    rep = verify_inequality(samples, f_const, 0.5, 0.9, variant="l2")
     ok = (
         span >= 2.0
         and 0.45 <= fit.theta_hat <= 0.55

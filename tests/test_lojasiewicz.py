@@ -162,7 +162,7 @@ def test_wrong_exponent_ratios_diverge(ico3, s2):
 def test_verify_dual_norm_variant_runs(ico2, s2):
     f_inf = constant_map(ico2, s2)
     samples = sample_neighborhood(f_inf, 0.05, 4, seed=3)
-    rep = verify_inequality(samples, f_inf, 0.5, 0.1, norm_used="wk_minus_2_p", dual_p=3.0)
+    rep = verify_inequality(samples, f_inf, 0.5, 0.1, variant="wk", norm=(1, 3.0))
     assert rep.min_ratio > 0.0
     assert np.all(rep.grad_norm > 0)
 
@@ -191,8 +191,7 @@ def test_dual_norm_matches_per_field_reference(ico2, target):
     assert min(ref) > 0.0
     for f, want in zip(samples, ref):
         assert gradient_dual_norm(f, 3.0) == pytest.approx(want, rel=1e-12, abs=0.0)
-    rep = verify_inequality([stack_maps(samples)], f_inf, 0.5, 0.9, "wk_minus_2_p", k=1,
-                            dual_p=3.0)
+    rep = verify_inequality([stack_maps(samples)], f_inf, 0.5, 0.9, "wk", (1, 3.0))
     assert rep.grad_norm.tolist() == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -401,18 +400,26 @@ def test_validate_exponents_total_property(d, k, p):
 
 
 def test_gradient_family_norm_orders(ico2, s2):
-    from harmonicflow.lojasiewicz import _wk_norm, gradient_dual_norm
-    from harmonicflow.meshes import lp_norm
+    from harmonicflow.lojasiewicz import gradient_norm
+    from harmonicflow.meshes import l2_norm
     from harmonicflow import tension
     from harmonicflow.errors import UnsupportedOrder as UO
 
     f = perturbed_constant_map(ico2, s2, 0.1, stream(12, "fam"))
     m = tension(f)
-    # k = 2: plain L^p norm of the tension field
-    assert _wk_norm(ico2, 3, 2, 3.0)(m) == lp_norm(ico2, m, 3.0)
-    # k = 1: dual-norm stand-in, dominated by the L2 norm
-    from harmonicflow.meshes import l2_norm as _l2
-    assert 0.0 < gradient_dual_norm(f, 3.0) <= _l2(ico2, m)
-    assert gradient_dual_norm(f, 3.0) == _wk_norm(ico2, 3, 1, 3.0)(m)
+    # wk, k = 2: plain L^p norm of the tension field
+    assert gradient_norm(ico2, 3, "wk", 2, 3.0)(m) == sobolev_norm(ico2, m, 0, 3.0)
+    # wk, k = 1: dual-norm stand-in, dominated by the L2 norm
+    assert 0.0 < gradient_dual_norm(f, 3.0) <= l2_norm(ico2, m)
+    assert gradient_dual_norm(f, 3.0) == gradient_norm(ico2, 3, "wk", 1, 3.0)(m)
     with pytest.raises(UO):
-        _wk_norm(ico2, 3, 3, 2.0)
+        gradient_norm(ico2, 3, "wk", 3, 2.0)
+    for bad in ("L2", "wk_minus_2_p"):  # spelled as VARIANTS, nothing else
+        with pytest.raises(ValueError):
+            gradient_norm(ico2, 3, bad, 1, 3.0)
+    # l2 on one field and on each column of a (V, S, n) stack
+    l2 = gradient_norm(ico2, 3, "l2", 1, 3.0)
+    assert l2(m) == pytest.approx(l2_norm(ico2, m), rel=1e-14, abs=0.0)
+    stack = np.stack([m, 2.0 * m, np.zeros_like(m)], axis=1)
+    want = [l2_norm(ico2, stack[:, j]) for j in range(3)]
+    assert l2(stack).tolist() == pytest.approx(want, rel=1e-14, abs=0.0)

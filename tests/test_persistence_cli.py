@@ -460,6 +460,24 @@ def test_cli_failed_analysis_manifest_lists_the_outputs_before_it(tmp_path, caps
     assert "failed" not in json.loads((ok / "run_manifest.json").read_text())
 
 
+def test_cli_output_path_that_is_a_directory_exits_3(tmp_path):
+    # the flow's trace.csv cannot be written over a directory: a numerical-failure
+    # exit with a manifest that hashes only the files, never a traceback
+    out = tmp_path / "o"
+    (out / "trace.csv").mkdir(parents=True)
+    path = write_cfg(tmp_path, BASE_CFG.format(analyses="flow"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmonicflow.cli", "run", path, "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["outputs"] == []
+    assert manifest["failed"]["analysis"] == "flow"
+    assert manifest["failed"]["error"].startswith("IsADirectoryError")
+
+
 def test_cli_verify_sampler_failure_surfaces_while_verify_measures(tmp_path, capsys):
     # sigma = 50 pushes the first sample stack past the chart radius; the sampler
     # yields its stacks lazily, so the error is raised inside verify's loop
@@ -660,11 +678,14 @@ def test_probe_levels_above_the_vertex_bound_rejected_at_parse(tmp_path):
         parse_config(path)
 
 
-def test_cli_verify_default_p_is_admissible(tmp_path):
-    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "verify"})
+@pytest.mark.parametrize("variant", ["l2", "wk"])
+def test_cli_verify_default_p_is_admissible(tmp_path, variant):
+    verify = {"variant": variant, "norm": variant}
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "verify"}, verify=verify)
     out = tmp_path / "out"
     assert cli_main(["run", path, "--out", str(out)]) == 0
-    assert (out / "verify_margins.json").exists()
+    # the report names the norm as the config spells it
+    assert json.loads((out / "verify_margins.json").read_text())["norm_used"] == variant
 
 
 def test_cli_bad_config_exit_2(tmp_path):
