@@ -21,7 +21,9 @@ operator; F is symmetric, no zeros stored; H(f) v = B (F (B^T v)) / mass, B the 
 FULL_SPECTRUM_LIMIT unknowns, from the band of each connected component of its
 graph (a decoupled tangent block gets its own) in reverse Cuthill-McKee order;
 above, the ones nearest zero, by shift-invert Lanczos on one sparse LU factor
-in nested-dissection order, shifted below zero by a Gershgorin bound.
+in nested-dissection order, shifted below zero by a Gershgorin bound.  Besides
+the caller's form, that path holds the ordered, shifted matrix until it is
+factored, then the factor alone: ARPACK is handed A's shape, not A.
 """
 
 from __future__ import annotations
@@ -123,6 +125,12 @@ class HessianSpectrum:
 FULL_SPECTRUM_LIMIT = 3000
 
 
+def _unapplied(x: np.ndarray) -> np.ndarray:
+    """The shift-invert eigsh's A, a shape only: ARPACK's mode 3 applies (A - sigma I)^{-1}
+    alone, so a future change of mode fails here rather than running on a stand-in."""
+    raise EigensolveFailure("shift-invert ARPACK applied A, which only its inverse stands for")
+
+
 def _band_eigenvalues(A: sp.csr_matrix) -> np.ndarray:
     """Every eigenvalue of the symmetric A, ascending, one graph component's RCM band at a
     time; a stored zero would count as an edge, and the caller's diag(s) F diag(s) has none."""
@@ -163,7 +171,11 @@ def hessian_spectrum(
     max_i sum_j |A_ij| >= lambda_max (Gershgorin).  A form with a non-finite
     entry raises EigensolveFailure on either path.  kernel_tol defaults to 1e-6
     times the largest eigenvalue, which the sparse path finds by one more Lanczos
-    run.  The index counts the (computed) eigenvalues below -kernel_tol.
+    run on A, before the factor.  The index counts the (computed) eigenvalues
+    below -kernel_tol.  Alive on the sparse path, besides op.form: A until
+    B = A - sigma I in dissection order is built, then B until SuperLU has
+    factored it, then the factor alone while ARPACK runs (mode 3 applies only
+    the factor's solves; the A it is handed is a shape that raises if applied).
     """
     dim = op.form.shape[0]
     s = 1.0 / np.sqrt(op.mass)
@@ -179,15 +191,21 @@ def hessian_spectrum(
         partial = False
     else:
         sigma = -1e-6 * max(float(abs(A).sum(axis=1).max()), 1.0)
+        if kernel_tol is None:
+            kernel_tol = 1e-6 * abs(_largest_eigenvalue(A))
         dN = dim // op.mesh.vertex_count
         p = (op.mesh.dissection_order[:, None] * dN + np.arange(dN)).ravel()
         inv = np.argsort(p)  # y = z[inv] solves y[p] = z
         try:
+            B = (A - sigma * sp.identity(dim))[p][:, p].tocsc()
+            del A  # ARPACK's mode 3 applies only (A - sigma I)^{-1}: past here nothing reads A
             # SuperLU's default threshold pivoting stays on: A is indefinite at saddles
-            lu = spla.splu((A - sigma * sp.identity(dim))[p][:, p].tocsc(), permc_spec="NATURAL")
+            lu = spla.splu(B, permc_spec="NATURAL")
+            del B
             v0 = np.sin(1.3 * np.arange(dim)) + 0.5
             vals = spla.eigsh(
-                A, k=min(n_modes, dim - 2), sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
+                spla.LinearOperator((dim, dim), _unapplied, dtype=float), k=min(n_modes, dim - 2),
+                sigma=sigma, which="LM", v0=v0, return_eigenvectors=False,
                 OPinv=spla.LinearOperator((dim, dim), lambda x: lu.solve(x[p])[inv], dtype=float),
             )
         except Exception as exc:
@@ -195,7 +213,7 @@ def hessian_spectrum(
         vals = np.sort(vals)
         partial = True
     if kernel_tol is None:
-        kernel_tol = 1e-6 * abs(_largest_eigenvalue(A) if partial else vals[-1])
+        kernel_tol = 1e-6 * abs(vals[-1])
     kernel_dim = int(np.sum(np.abs(vals) <= kernel_tol))
     # the smallest |lambda| outside the kernel band, of either sign
     above = np.abs(vals[np.abs(vals) > kernel_tol])

@@ -400,6 +400,59 @@ def test_sparse_spectrum_runs_a_largest_eigenvalue_lanczos_only_for_the_default_
     assert sparse.kernel_tol == pytest.approx(full.kernel_tol, rel=1e-12)
 
 
+@pytest.mark.parametrize("mesh", ["ico3", "ico4"])
+def test_sparse_spectrum_holds_one_copy_of_the_form_while_it_factors(request, monkeypatch, mesh):
+    # the live bytes the spectrum adds, at SuperLU's entry and at ARPACK's, in units
+    # of the form's: the ordered matrix B alone, then neither A nor B (the factor is
+    # SuperLU's own memory, which tracemalloc does not see)
+    op = hessian_matrix(identity_sphere_map(request.getfixturevalue(mesh), UnitSphere(3)))
+    form = op.form.data.nbytes + op.form.indices.nbytes + op.form.indptr.nbytes
+    energy_module = importlib.import_module("harmonicflow.energy")
+    monkeypatch.setattr(energy_module, "FULL_SPECTRUM_LIMIT", op.form.shape[0] - 1)
+    live = {}
+
+    def at_entry(name, call):
+        def measured(*args, **kwargs):
+            live[name] = tracemalloc.get_traced_memory()[0] - live["start"]
+            return call(*args, **kwargs)
+        return measured
+
+    monkeypatch.setattr(spla, "splu", at_entry("splu", spla.splu))
+    monkeypatch.setattr(spla, "eigsh", at_entry("eigsh", spla.eigsh))
+    tracemalloc.start()
+    try:
+        live["start"] = tracemalloc.get_traced_memory()[0]
+        hessian_spectrum(op, kernel_tol=0.1)
+    finally:
+        tracemalloc.stop()
+    assert live["splu"] < 1.5 * form
+    assert live["eigsh"] < 0.5 * form
+
+
+@pytest.mark.parametrize("case", list(SPARSE_SPECTRUM_CASES))
+def test_shift_invert_arpack_never_applies_the_form(ico3, monkeypatch, case):
+    # ARPACK's mode 3 reads only the solves: it is handed A's shape, which raises if
+    # applied, and returns bit for bit what it returns when handed A on the same factor
+    op = hessian_matrix(SPARSE_SPECTRUM_CASES[case](ico3))
+    energy_module = importlib.import_module("harmonicflow.energy")
+    monkeypatch.setattr(energy_module, "FULL_SPECTRUM_LIMIT", op.form.shape[0] - 1)
+    calls, eigsh = [], spla.eigsh
+
+    def captured(A, **kwargs):
+        calls.append((A, kwargs))
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(spla, "eigsh", captured)
+    spec = hessian_spectrum(op, kernel_tol=0.1)
+    [(stand_in, kwargs)] = calls
+    assert not sp.issparse(stand_in)
+    with pytest.raises(EigensolveFailure):
+        stand_in @ np.ones(op.form.shape[0])
+    s = sp.diags(1.0 / np.sqrt(op.mass))
+    vals = eigsh(s @ op.form @ s, **kwargs)
+    assert np.array_equal(np.sort(vals), spec.eigenvalues)
+
+
 # the Hessians the banded full spectrum is checked on, with the connected components
 # of their graphs: constant maps at an axis-aligned point and the great circles
 # decouple their tangent components exactly, one component each; the perturbed and
