@@ -15,6 +15,7 @@ from .errors import (
     CheckpointParseError,
     CheckpointVersionError,
     EmptyTrace,
+    InvalidSpec,
     SpecMismatch,
 )
 from .fields import MapField
@@ -82,7 +83,7 @@ def load_checkpoint(
     try:
         mesh = mesh if mesh is not None else build_source(mesh_spec)
         target = target if target is not None else build_target(target_spec)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, InvalidSpec) as exc:
         raise CheckpointParseError(f"{path}: bad mesh or target spec: {exc!r}") from exc
     return MapField(values, target, mesh), metadata
 

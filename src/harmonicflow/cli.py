@@ -76,10 +76,10 @@ def _build_initial_map(scn: Scenario, mesh, target) -> MapField:
     """The scenario's initial map.  A point, kind or checkpoint that does not
     fit the mesh and target, lies off the target, or cannot be read, is an
     input error (ConfigError), not a numerical failure."""
-    kind = scn.initial_map["kind"]
+    kind, *values = scn.initial_map.values()  # the kind, then its keys' values in order
     try:
         with np.errstate(over="ignore"):  # an |x|^2 of inf fails the projection's margins
-            return INITIAL_MAP_KINDS[kind](mesh, target, scn.initial_map, scn.seed)
+            return INITIAL_MAP_KINDS[kind].build(mesh, target, scn.seed, *values)
     except (OutsideTubularNeighborhood, ShapeMismatch, NotOnTarget, OSError) as exc:
         raise ConfigError(f"[initial_map] kind = {kind}: {exc}") from exc
 

@@ -37,6 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure, InadmissibleExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
 from .rng import stream
+from .specs import REQUIRED, positive, take_kind
 
 __all__ = [
     "SourceMesh",
@@ -336,26 +337,25 @@ def build_icosphere(level: int) -> SourceMesh:
 
 
 class MeshKind(NamedTuple):
-    build: Callable[..., SourceMesh]
-    keys: dict[str, type]  # spec key -> type; keys are the builder's arguments
+    build: Callable[..., SourceMesh]  # specs.Kind's two fields, and the mesh's dimension
+    keys: dict[str, tuple]
     dimension: int
 
 
 MESH_KINDS = {
-    "circle": MeshKind(build_circle, {"n": int}, 1),
-    "flat_torus": MeshKind(
-        build_flat_torus, {"nu": int, "nv": int, "lu": float, "lv": float}, 2
-    ),
-    "icosphere": MeshKind(build_icosphere, {"level": int}, 2),
+    "circle": MeshKind(build_circle, {"n": (int, REQUIRED)}, 1),
+    "flat_torus": MeshKind(build_flat_torus, {
+        "nu": (int, REQUIRED), "nv": (int, REQUIRED),
+        "lu": (positive(float), FLAT_TORUS_SIDE), "lv": (positive(float), FLAT_TORUS_SIDE),
+    }, 2),
+    "icosphere": MeshKind(build_icosphere, {"level": (int, REQUIRED)}, 2),
 }
 
 
 def build_source(spec: dict) -> SourceMesh:
-    """Construct a mesh from a scenario-style spec dict."""
-    if spec.get("kind") not in MESH_KINDS:
-        raise InvalidSpec(f"unknown mesh kind {spec.get('kind')!r}")
-    build, keys, _ = MESH_KINDS[spec["kind"]]
-    return build(**{key: typ(spec[key]) for key, typ in keys.items() if key in spec})
+    """Construct a mesh from a scenario-style spec dict: a kind and only its keys."""
+    kind, *values = take_kind(MESH_KINDS, spec, "mesh spec").values()
+    return MESH_KINDS[kind].build(*values)
 
 
 # ---------------------------------------------------------------------------

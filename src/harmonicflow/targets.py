@@ -32,7 +32,7 @@ arrays of shape (..., n) with n the ambient dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .errors import (
     OutsideTubularNeighborhood,
 )
 from .meshes import row_dots
+from .specs import REQUIRED, Kind, positive, take_kind
 
 # Absolute, so the check is one distance pass: projected points sit within
 # rounding (~1e-16 times the target's extent, at most R + r) of the target.
@@ -377,21 +378,16 @@ class TorusOfRevolution(EmbeddedTarget):
         return shape
 
 
-class TargetKind(NamedTuple):
-    cls: type
-    keys: dict[str, type]  # spec key -> type, in dataclass field (constructor argument) order
-
-
+# each row's keys in dataclass field (constructor argument) order
 TARGET_KINDS = {
-    "sphere": TargetKind(UnitSphere, {"ambient_dim": int}),
-    "clifford_torus": TargetKind(CliffordTorus, {"m": int}),
-    "torus_rev": TargetKind(TorusOfRevolution, {"R": float, "r": float}),
+    "sphere": Kind(UnitSphere, {"ambient_dim": (int, REQUIRED)}),
+    "clifford_torus": Kind(CliffordTorus, {"m": (int, REQUIRED)}),
+    "torus_rev": Kind(TorusOfRevolution, {"R": (positive(float), REQUIRED),
+                                          "r": (positive(float), REQUIRED)}),
 }
 
 
 def build_target(spec: dict) -> EmbeddedTarget:
-    """Construct a target from a scenario-style spec dict."""
-    if spec.get("kind") not in TARGET_KINDS:
-        raise InvalidSpec(f"unknown target kind {spec.get('kind')!r}")
-    cls, keys = TARGET_KINDS[spec["kind"]]
-    return cls(*(typ(spec[key]) for key, typ in keys.items()))
+    """Construct a target from a scenario-style spec dict: a kind and only its keys."""
+    kind, *values = take_kind(TARGET_KINDS, spec, "target spec").values()
+    return TARGET_KINDS[kind].build(*values)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -135,8 +136,12 @@ def test_checkpoint_nan_value_rejected(ico2, s2, tmp_path):
         ("mesh", {"kind": "icosphere"}),  # no level: TypeError in the builder
         ("target", {"kind": "sphere"}),  # no ambient_dim: KeyError
         ("mesh", "x"),  # not a dict: AttributeError
+        # a key the kind does not take: the builder would drop it
+        ("mesh", {"kind": "icosphere", "level": 2, "n": 64}),
+        ("target", {"kind": "sphere", "ambient_dim": 3, "R": 7.0}),
     ],
-    ids=["mesh-without-level", "target-without-ambient-dim", "mesh-not-a-dict"],
+    ids=["mesh-without-level", "target-without-ambient-dim", "mesh-not-a-dict",
+         "mesh-with-a-key-of-another-kind", "target-with-a-key-of-another-kind"],
 )
 def test_checkpoint_bad_spec_is_parse_error(ico2, s2, tmp_path, field, bad):
     path = tmp_path / "ck.json"
@@ -388,15 +393,72 @@ def test_every_target_kind_round_trips_config_spec_build(tmp_path):
 
 
 def test_kind_missing_its_key_rejected(tmp_path):
-    scn = parse_config(minimal_cfg(
-        tmp_path,
-        mesh={"kind": "flat_torus", "nu": 8},
-        target={"kind": "torus_rev", "R": 2.0},
-    ))
-    with pytest.raises(ConfigError, match="flat_torus requires nv"):
-        mesh_spec_from_config(scn.mesh)
-    with pytest.raises(ConfigError, match="torus_rev requires r"):
-        target_spec_from_config(scn.target)
+    with pytest.raises(ConfigError, match=r"\[mesh\] nv: kind flat_torus requires it"):
+        parse_config(minimal_cfg(tmp_path, mesh={"kind": "flat_torus", "nu": 8}))
+    with pytest.raises(ConfigError, match=r"\[target\] r: kind torus_rev requires it"):
+        parse_config(minimal_cfg(tmp_path, target={"kind": "torus_rev", "R": 2.0}))
+
+
+# a key another kind takes; each was ignored, so the run used the kind's defaults
+@pytest.mark.parametrize("section,keys", [
+    ("mesh", {"kind": "icosphere", "level": 1, "n": 64}),
+    ("target", {"kind": "sphere", "ambient_dim": 3, "R": 7}),
+    ("initial_map", {"kind": "constant", "amplitude": 0.3}),
+    ("initial_map", {"kind": "identity_sphere", "point": "0, 0, 1"}),
+], ids=["icosphere-n", "sphere-R", "constant-amplitude", "identity_sphere-point"])
+def test_cli_key_of_another_kind_exit_2(tmp_path, capsys, section, keys):
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"}, **{section: keys})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    key = list(keys)[-1]
+    assert f"[{section}] {key}: kind {keys['kind']} takes" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_checkpoints_on_with_no_cadence_exit_2(tmp_path, capsys):
+    # checkpoint_every = 0 switches checkpoints off, so write_checkpoints = true wrote none
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"},
+                       flow={"write_checkpoints": "true", "checkpoint_every": 0})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "write_checkpoints" in err and "checkpoint_every" in err
+    assert not out.exists()
+
+
+def test_cli_negative_seed_exit_2(tmp_path, capsys):
+    path = minimal_cfg(tmp_path, scenario={"seed": -1, "analyses": "flow"})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert "[scenario] seed = '-1'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stream_seeds_do_not_alias():
+    # a seed past 64 bits is its own stream, not the masked one; below, the
+    # stream is the SeedSequence of the seed itself, as before
+    def draw(seed):
+        return stream(seed, "initial-map").standard_normal(4).tolist()
+
+    assert draw(2**64 + 1) != draw(1)
+    assert draw(2**65) != draw(0)
+    for seed in (0, 1, 21, 2**64 - 1):
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(zlib.crc32(b"initial-map"),))
+        assert draw(seed) == np.random.Generator(np.random.Philox(ss)).standard_normal(4).tolist()
+    with pytest.raises(ValueError):
+        stream(-1, "initial-map")
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def test_readme_config_example_parses_and_sets_up(tmp_path):
+    text = README.read_text()
+    blocks = text.split("```ini\n")[1:]
+    assert len(blocks) == 1, "README has one ```ini config example"
+    scn = parse_config(write_cfg(tmp_path, blocks[0].split("```")[0]))
+    run = cli_module._Run(scn, str(tmp_path))  # mesh, target and initial map
+    assert run.f0.values.shape == (run.mesh.vertex_count, run.target.ambient_dim)
 
 
 CONFIGS = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
