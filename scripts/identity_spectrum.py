@@ -16,7 +16,6 @@ from harmonicflow import (
     UnitSphere,
     build_icosphere,
     grad_l2_norm,
-    hessian_matrix,
     hessian_spectrum,
     identity_sphere_map,
 )
@@ -32,13 +31,13 @@ def main():
     for level in args.levels:
         mesh = build_icosphere(level)
         f = identity_sphere_map(mesh, s2)
-        op = hessian_matrix(f)
-        spec = hessian_spectrum(op, kernel_tol=args.kernel_tol, n_modes=16)
+        spec = hessian_spectrum(f, kernel_tol=args.kernel_tol, n_modes=16)
         low = np.array(spec.eigenvalues[:10])
+        gap = "none" if spec.gap_ratio is None else f"{spec.gap_ratio:.1f}"
         print(
             f"level {level}: |M(id)| = {grad_l2_norm(f):.3e}, "
             f"kernel dim {spec.kernel_dim} (tol {spec.kernel_tol:.2g}), "
-            f"gap ratio {spec.gap_ratio:.1f}"
+            f"gap ratio {gap}"
         )
         print(f"  low eigenvalues: {np.array2string(low, precision=5)}")
 

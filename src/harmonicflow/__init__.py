@@ -31,7 +31,6 @@ from .fields import (  # noqa: F401
     random_tangent_field,
 )
 from .energy import (  # noqa: F401
-    HessianOperator,
     HessianSpectrum,
     energy,
     grad_l2_norm,

@@ -31,7 +31,7 @@ import scipy
 
 from . import __version__
 from . import lojasiewicz as loja
-from .energy import hessian_matrix, hessian_spectrum
+from .energy import hessian_spectrum
 from .charts import bilipschitz_estimate
 from .checkpoint import export_trace, save_checkpoint, write_columns, write_json
 from .config import (
@@ -158,13 +158,8 @@ class _Run:
         expected = hs["expected_critical_dim"]
         if expected is not None:  # before the spectrum: a non-critical map writes nothing
             loja.require_critical(f_inf, self.scn.flow["grad_tol"])
-        op = hessian_matrix(f_inf)
-        spec = hessian_spectrum(
-            op, kernel_tol=hs["kernel_tol"], n_modes=hs["n_modes"]
-        )
-        payload = asdict(spec)
-        payload["asymmetry_rel"] = op.asymmetry_rel
-        write_json(payload, self.record("hessian_spectrum.json"))
+        spec = hessian_spectrum(f_inf, kernel_tol=hs["kernel_tol"], n_modes=hs["n_modes"])
+        write_json(asdict(spec), self.record("hessian_spectrum.json"))
         if expected is not None:
             report = loja.classify_morse_bott(spec, expected)
             write_json(asdict(report), self.record("morse_bott.json"))

@@ -15,7 +15,8 @@ from .flow import FlowControl
 from .meshes import MAX_VERTICES, MESH_KINDS, MIN_GRID_SIDE, SOBOLEV_ORDERS
 from .meshes import VARIANTS, validate_exponents
 from .rng import stream
-from .specs import REQUIRED, Kind, listed, number, one_of, optional, positive, take, take_kind
+from .specs import (REQUIRED, Kind, integer, listed, number, one_of, optional, positive, take,
+                    take_kind)
 from .targets import TARGET_KINDS
 
 ANALYSES = ("flow", "loja-fit", "hessian-spec", "verify", "chart-audit", "mult-probe")
@@ -38,7 +39,7 @@ INITIAL_MAP_KINDS = {
                      {"point": _point}),
     "identity_sphere": Kind(lambda mesh, target, seed: identity_sphere_map(mesh, target), {}),
     "degree_circle": Kind(lambda mesh, target, seed, k: degree_circle_map(mesh, target, k),
-                          {"k": (int, 1)}),
+                          {"k": (integer, 1)}),
     "perturbed_constant": Kind(lambda mesh, target, seed, amplitude, point: perturbed_constant_map(
         mesh, target, amplitude, stream(seed, "initial-map"), point
     ), {"amplitude": (_nonnegative, 0.1), "point": _point}),

@@ -21,9 +21,10 @@ operator; F is symmetric, no zeros stored; H(f) v = B (F (B^T v)) / mass, B the 
 FULL_SPECTRUM_LIMIT unknowns, from the band of each connected component of its
 graph (a decoupled tangent block gets its own) in reverse Cuthill-McKee order;
 above, the ones nearest zero, by shift-invert Lanczos on one sparse LU factor
-in nested-dissection order, shifted below zero by a Gershgorin bound.  Besides
-the caller's form, that path holds the ordered, shifted matrix until it is
-factored, then the factor alone: ARPACK is handed A's shape, not A.
+in nested-dissection order, shifted below zero by a Gershgorin bound.  It
+assembles F itself and drops it once A is formed; the sparse path then holds the
+ordered, shifted matrix until it is factored, then the factor alone: ARPACK is
+handed A's shape, not A.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure
 from .fields import MapField
-from .meshes import SourceMesh, _largest_eigenvalue, l2_norm, laplace_beltrami_apply
+from .meshes import _largest_eigenvalue, l2_norm, laplace_beltrami_apply
 
 __all__ = [
     "energy",
@@ -45,7 +46,6 @@ __all__ = [
     "hessian_matrix",
     "hessian_spectrum",
     "grad_l2_norm",
-    "HessianOperator",
     "HessianSpectrum",
 ]
 
@@ -73,23 +73,8 @@ def grad_l2_norm(f: MapField) -> float:
 # ---------------------------------------------------------------------------
 # Hessian
 
-@dataclass(eq=False)
-class HessianOperator:
-    """Discrete Hessian in per-vertex tangent frames.
-
-    ``form`` is the mass-weighted bilinear form matrix, symmetric, in dN x dN
-    blocks on the vertex graph of ``mesh``; the operator in the mass inner
-    product is diag(1/mass) @ form.
-    """
-
-    form: sp.csr_matrix
-    mass: np.ndarray
-    asymmetry_rel: float
-    mesh: SourceMesh
-
-
-def hessian_matrix(f: MapField) -> HessianOperator:
-    """The Hessian form, block by block on K's sparsity (module docstring); the curvature
+def hessian_matrix(f: MapField) -> sp.csr_matrix:
+    """The Hessian form F, CSR, block by block on K's sparsity (module docstring); the curvature
     term a_x <d2pi(e_i, Delta f), e_j> = -a_x (nu . Delta f) <S e_i, e_j> from one d2pi call,
     mirrored from i <= j, exact zeros dropped; neither frames nor d2pi recheck the MapField."""
     V, dN = f.mesh.vertex_count, f.target.intrinsic_dim
@@ -105,10 +90,7 @@ def hessian_matrix(f: MapField) -> HessianOperator:
     blocks[at] = np.triu(diag) + np.triu(diag, 1).transpose(0, 2, 1)  # (i, j) mirrored to (j, i)
     F = sp.bsr_matrix((blocks, K.indices, K.indptr), shape=(V * dN, V * dN)).tocsr()
     F.eliminate_zeros()  # the blocks' exact zeros, as of decoupled tangent components
-
-    denom = spla.norm(F) if F.nnz else 1.0
-    asym = float(spla.norm(F - F.T) / denom) if denom > 0 else 0.0
-    return HessianOperator(F, np.repeat(f.mesh.area, dN), asym, f.mesh)
+    return F
 
 
 @dataclass
@@ -117,9 +99,10 @@ class HessianSpectrum:
     kernel_dim: int
     kernel_tol: float
     basis_dim: int
-    gap_ratio: float
+    gap_ratio: float | None  # None: no computed eigenvalue lies outside the kernel band
     index: int
     partial: bool
+    asymmetry_rel: float  # |F - F^T| / |F|, Frobenius
 
 
 FULL_SPECTRUM_LIMIT = 3000
@@ -133,7 +116,7 @@ def _unapplied(x: np.ndarray) -> np.ndarray:
 
 def _band_eigenvalues(A: sp.csr_matrix) -> np.ndarray:
     """Every eigenvalue of the symmetric A, ascending, one graph component's RCM band at a
-    time; a stored zero would count as an edge, and the caller's diag(s) F diag(s) has none."""
+    time; a stored zero would count as an edge, and hessian_spectrum's A has none."""
     # imported here: about 1 MB of RSS that runs without a full spectrum do not pay
     from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
     count, labels = connected_components(A, directed=False)
@@ -156,11 +139,11 @@ def _band_eigenvalues(A: sp.csr_matrix) -> np.ndarray:
 
 
 def hessian_spectrum(
-    op: HessianOperator,
+    f: MapField,
     kernel_tol: float | None = None,
     n_modes: int = 32,
 ) -> HessianSpectrum:
-    """Eigenvalues (ascending) with a gap-aware kernel count.
+    """Eigenvalues (ascending) of f's Hessian, with a gap-aware kernel count.
 
     Up to FULL_SPECTRUM_LIMIT unknowns every eigenvalue, from LAPACK's banded
     solver on the band of each connected component of the matrix's graph, in
@@ -172,17 +155,22 @@ def hessian_spectrum(
     entry raises EigensolveFailure on either path.  kernel_tol defaults to 1e-6
     times the largest eigenvalue, which the sparse path finds by one more Lanczos
     run on A, before the factor.  The index counts the (computed) eigenvalues
-    below -kernel_tol.  Alive on the sparse path, besides op.form: A until
-    B = A - sigma I in dissection order is built, then B until SuperLU has
-    factored it, then the factor alone while ARPACK runs (mode 3 applies only
-    the factor's solves; the A it is handed is a shape that raises if applied).
+    below -kernel_tol.  The form F = hessian_matrix(f) is dropped once A is
+    formed; alive on the sparse path are then A until B = A - sigma I in
+    dissection order is built, then B until SuperLU has factored it, then the
+    factor alone while ARPACK runs (mode 3 applies only the factor's solves; the
+    A it is handed is a shape that raises if applied).
     """
-    dim = op.form.shape[0]
-    s = 1.0 / np.sqrt(op.mass)
-    A = sp.diags(s) @ op.form @ sp.diags(s)  # mass-symmetrized M^{-1/2} F M^{-1/2}
+    F = hessian_matrix(f)
     # each solver reads one triangle or one product: check every stored entry here
-    if not np.isfinite(A.data).all():
+    if not np.isfinite(F.data).all():
         raise EigensolveFailure("non-finite entry in the Hessian form")
+    dim, dN = F.shape[0], f.target.intrinsic_dim
+    denom = spla.norm(F)
+    asymmetry_rel = float(spla.norm(F - F.T) / denom) if denom > 0 else 0.0
+    s = sp.diags(1.0 / np.sqrt(np.repeat(f.mesh.area, dN)))
+    A = s @ F @ s  # mass-symmetrized M^{-1/2} F M^{-1/2}
+    del F
     if dim <= FULL_SPECTRUM_LIMIT:
         try:
             vals = _band_eigenvalues(A)
@@ -193,8 +181,7 @@ def hessian_spectrum(
         sigma = -1e-6 * max(float(abs(A).sum(axis=1).max()), 1.0)
         if kernel_tol is None:
             kernel_tol = 1e-6 * abs(_largest_eigenvalue(A))
-        dN = dim // op.mesh.vertex_count
-        p = (op.mesh.dissection_order[:, None] * dN + np.arange(dN)).ravel()
+        p = (f.mesh.dissection_order[:, None] * dN + np.arange(dN)).ravel()
         inv = np.argsort(p)  # y = z[inv] solves y[p] = z
         try:
             B = (A - sigma * sp.identity(dim))[p][:, p].tocsc()
@@ -217,7 +204,7 @@ def hessian_spectrum(
     kernel_dim = int(np.sum(np.abs(vals) <= kernel_tol))
     # the smallest |lambda| outside the kernel band, of either sign
     above = np.abs(vals[np.abs(vals) > kernel_tol])
-    gap_ratio = float(above.min() / kernel_tol) if above.size and kernel_tol > 0 else float("nan")
+    gap_ratio = float(above.min() / kernel_tol) if above.size and kernel_tol > 0 else None
     return HessianSpectrum(
         eigenvalues=[float(v) for v in vals],
         kernel_dim=kernel_dim,
@@ -226,4 +213,5 @@ def hessian_spectrum(
         gap_ratio=gap_ratio,
         index=int(np.sum(vals < -kernel_tol)),
         partial=partial,
+        asymmetry_rel=asymmetry_rel,
     )

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .charts import push
-from .energy import HessianSpectrum, energy, grad_l2_norm, hessian_matrix, hessian_spectrum, tension
+from .energy import HessianSpectrum, energy, grad_l2_norm, hessian_spectrum, tension
 from .errors import (
     DegenerateWindow,
     InsufficientDecades,
@@ -246,7 +246,7 @@ def fit_exponent(
 class MorseBottReport:
     kernel_dim: int
     expected_critical_dim: int | None
-    gap_ratio: float
+    gap_ratio: float | None
     verdict: str  # "morse_bott" | "degenerate" | "inconclusive"
     predicted_theta: float | None
     kernel_tol: float
@@ -261,8 +261,7 @@ def morse_bott_report(
 ) -> MorseBottReport:
     """Hessian-kernel count at a critical point versus the expected dimension."""
     require_critical(f_inf, grad_tol)
-    op = hessian_matrix(f_inf)
-    spec = hessian_spectrum(op, kernel_tol=kernel_tol, n_modes=n_modes)
+    spec = hessian_spectrum(f_inf, kernel_tol=kernel_tol, n_modes=n_modes)
     return classify_morse_bott(spec, expected_critical_dim)
 
 
@@ -277,10 +276,8 @@ def classify_morse_bott(
     spec: HessianSpectrum, expected_critical_dim: int | None
 ) -> MorseBottReport:
     """Morse-Bott verdict from the Hessian spectrum at a critical point."""
-    gap_ok = math.isfinite(spec.gap_ratio) and spec.gap_ratio >= 10.0
-    if not gap_ok:
-        verdict = "inconclusive"
-    elif expected_critical_dim is None:
+    gap = spec.gap_ratio
+    if expected_critical_dim is None or gap is None or not 10.0 <= gap < math.inf:
         verdict = "inconclusive"
     elif spec.kernel_dim == expected_critical_dim:
         verdict = "morse_bott"

@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigensolveFailure, InadmissibleExponents, InvalidSpec, ShapeMismatch, UnsupportedOrder
 from .rng import stream
-from .specs import REQUIRED, positive, take_kind
+from .specs import REQUIRED, integer, positive, take_kind
 
 __all__ = [
     "SourceMesh",
@@ -343,12 +343,12 @@ class MeshKind(NamedTuple):
 
 
 MESH_KINDS = {
-    "circle": MeshKind(build_circle, {"n": (int, REQUIRED)}, 1),
+    "circle": MeshKind(build_circle, {"n": (integer, REQUIRED)}, 1),
     "flat_torus": MeshKind(build_flat_torus, {
-        "nu": (int, REQUIRED), "nv": (int, REQUIRED),
+        "nu": (integer, REQUIRED), "nv": (integer, REQUIRED),
         "lu": (positive(float), FLAT_TORUS_SIDE), "lv": (positive(float), FLAT_TORUS_SIDE),
     }, 2),
-    "icosphere": MeshKind(build_icosphere, {"level": (int, REQUIRED)}, 2),
+    "icosphere": MeshKind(build_icosphere, {"level": (integer, REQUIRED)}, 2),
 }
 
 

@@ -31,6 +31,13 @@ def number(typ, ok, what: str):
     return parse
 
 
+def integer(v) -> int:
+    """Parser for an int key: a config string's int or a spec's integral number (not 2.7, True)."""
+    if isinstance(v, bool) or isinstance(v, float) and not v.is_integer():
+        raise ValueError("must be an integer")
+    return int(v)
+
+
 def one_of(choices, fold=str):
     """Parser for an enumerated key: ``fold(value)`` must be one of ``choices``."""
     def parse(s):

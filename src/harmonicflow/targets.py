@@ -43,7 +43,7 @@ from .errors import (
     OutsideTubularNeighborhood,
 )
 from .meshes import row_dots
-from .specs import REQUIRED, Kind, positive, take_kind
+from .specs import REQUIRED, Kind, integer, positive, take_kind
 
 # Absolute, so the check is one distance pass: projected points sit within
 # rounding (~1e-16 times the target's extent, at most R + r) of the target.
@@ -380,8 +380,8 @@ class TorusOfRevolution(EmbeddedTarget):
 
 # each row's keys in dataclass field (constructor argument) order
 TARGET_KINDS = {
-    "sphere": Kind(UnitSphere, {"ambient_dim": (int, REQUIRED)}),
-    "clifford_torus": Kind(CliffordTorus, {"m": (int, REQUIRED)}),
+    "sphere": Kind(UnitSphere, {"ambient_dim": (integer, REQUIRED)}),
+    "clifford_torus": Kind(CliffordTorus, {"m": (integer, REQUIRED)}),
     "torus_rev": Kind(TorusOfRevolution, {"R": (positive(float), REQUIRED),
                                           "r": (positive(float), REQUIRED)}),
 }

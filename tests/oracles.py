@@ -363,11 +363,21 @@ def triple_product_hessian_form(f) -> sp.csr_matrix:
     return ((F + F.T) * 0.5).tocsr()
 
 
+def tangent_mass(f) -> np.ndarray:
+    """The lumped mass of each tangent unknown of the Hessian form: a_x, dN times."""
+    return np.repeat(f.mesh.area, f.target.intrinsic_dim)
+
+
+def mass_symmetrized_form(f) -> sp.csr_matrix:
+    """M^{-1/2} F M^{-1/2}, F = hessian_matrix(f): the matrix whose spectrum is f's."""
+    s = sp.diags(1.0 / np.sqrt(tangent_mass(f)))
+    return (s @ hessian_matrix(f) @ s).tocsr()
+
+
 def hessian_apply(f, v):
     """H(f) v = B (F (B^T v)) / mass: the assembled form lifted to ambient fields."""
     B = _block_diagonal(f.target.tangent_frames(f.values))
-    op = hessian_matrix(f)
-    hv = B @ ((op.form @ (B.T @ v.ravel())) / op.mass)
+    hv = B @ ((hessian_matrix(f) @ (B.T @ v.ravel())) / tangent_mass(f))
     return hv.reshape(v.shape)
 
 
@@ -419,18 +429,16 @@ def dense_laplacian_spectrum(mesh, subset=None):
                              eigvals_only=True, subset_by_index=subset)
 
 
-def dense_hessian_eigenvalues(op):
-    """Every eigenvalue of the mass-symmetrized form M^{-1/2} F M^{-1/2}, ascending,
+def dense_hessian_eigenvalues(f):
+    """Every eigenvalue of f's mass-symmetrized form M^{-1/2} F M^{-1/2}, ascending,
     from a dense n x n copy."""
-    s = sp.diags(1.0 / np.sqrt(op.mass))
-    return np.linalg.eigvalsh((s @ op.form @ s).toarray())
+    return np.linalg.eigvalsh(mass_symmetrized_form(f).toarray())
 
 
-def single_band_eigenvalues(op):
-    """Every eigenvalue of M^{-1/2} F M^{-1/2}, ascending, from one lower band of the
+def single_band_eigenvalues(f):
+    """Every eigenvalue of f's M^{-1/2} F M^{-1/2}, ascending, from one lower band of the
     whole matrix in reverse Cuthill-McKee order, whatever its components."""
-    s = sp.diags(1.0 / np.sqrt(op.mass))
-    A = (s @ op.form @ s).tocsr()
+    A = mass_symmetrized_form(f)
     A.eliminate_zeros()
     order = reverse_cuthill_mckee(A, symmetric_mode=True)
     rank = np.empty_like(order)

@@ -25,7 +25,6 @@ from harmonicflow import (
     energy,
     fit_exponent,
     grad_l2_norm,
-    hessian_matrix,
     hessian_spectrum,
     identity_sphere_map,
     perturbed_constant_map,
@@ -114,19 +113,17 @@ def test_criterion_04_hessian_consistency(ico2, ico3, s2, circle256, s1):
         fd = (e_at(step, step) - e_at(step, -step)
               - e_at(-step, step) + e_at(-step, -step)) / (4 * step * step)
         resid.append(abs(fd - pair) / abs(pair))
-    asyms = [hessian_matrix(constant_map(ico3, s2)).asymmetry_rel,
-             hessian_matrix(degree_circle_map(circle256, s1, 1)).asymmetry_rel]
+    asyms = [hessian_spectrum(constant_map(ico3, s2)).asymmetry_rel,
+             hessian_spectrum(degree_circle_map(circle256, s1, 1)).asymmetry_rel]
     ok = (30 <= resid[0] / resid[1] <= 300) and resid[1] <= 1e-5 and max(asyms) <= 1e-6
     report(4, ok, f"FD residuals {resid[0]:.1e} -> {resid[1]:.1e}, "
                   f"max asymmetry {max(asyms):.1e}")
 
 
 def test_criterion_05_morse_bott_kernels(ico4, s2, circle256, s1):
-    spec_const_s2 = hessian_spectrum(hessian_matrix(constant_map(ico4, s2)), n_modes=16)
-    spec_const_s1 = hessian_spectrum(hessian_matrix(constant_map(circle256, s1)))
-    spec_ident = hessian_spectrum(
-        hessian_matrix(identity_sphere_map(ico4, s2)), kernel_tol=0.1, n_modes=16
-    )
+    spec_const_s2 = hessian_spectrum(constant_map(ico4, s2), n_modes=16)
+    spec_const_s1 = hessian_spectrum(constant_map(circle256, s1))
+    spec_ident = hessian_spectrum(identity_sphere_map(ico4, s2), kernel_tol=0.1, n_modes=16)
     ok = (
         spec_const_s2.kernel_dim == 2
         and spec_const_s1.kernel_dim == 1
@@ -145,7 +142,7 @@ def test_criterion_05_saddles_great_circles(circle256):
     rows = []
     for k in (1, 2, 3):
         f = degree_circle_map(circle256, UnitSphere(3), k)
-        spec = hessian_spectrum(hessian_matrix(f))
+        spec = hessian_spectrum(f)
         verdict = classify_morse_bott(spec, 3).verdict
         rows.append((k, grad_l2_norm(f), spec.index, spec.kernel_dim, verdict))
     ok = all(gn <= 1e-10 and index == 2 * k - 1 and kernel == 3 and verdict == "morse_bott"

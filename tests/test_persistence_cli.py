@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import subprocess
@@ -30,6 +31,7 @@ import harmonicflow.lojasiewicz as loja_module
 import harmonicflow.meshes as meshes_module
 from harmonicflow.cli import main as cli_main
 from harmonicflow.config import (
+    INITIAL_MAP_KINDS,
     flow_control_from_config,
     mesh_spec_from_config,
     parse_config,
@@ -42,16 +44,29 @@ from harmonicflow.errors import (
     CheckpointVersionError,
     ConfigError,
     EmptyTrace,
+    InvalidSpec,
     NotOnTarget,
     SpecMismatch,
 )
 from harmonicflow.flow import FlowTrace
 from harmonicflow.rng import stream
+from harmonicflow.specs import take_kind
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_laplacian_spectrum, json_checkpoint_text
 from test_flow import rough_map
+
+# the package exports the function ``energy`` under the module's name
+energy_module = importlib.import_module("harmonicflow.energy")
+
+
+def strict_json(path):
+    """A JSON artifact parsed as strict JSON, whose grammar has no NaN or Infinity."""
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +154,11 @@ def test_checkpoint_nan_value_rejected(ico2, s2, tmp_path):
         # a key the kind does not take: the builder would drop it
         ("mesh", {"kind": "icosphere", "level": 2, "n": 64}),
         ("target", {"kind": "sphere", "ambient_dim": 3, "R": 7.0}),
+        ("mesh", {"kind": "icosphere", "level": 2.7}),  # was truncated to level 2
     ],
     ids=["mesh-without-level", "target-without-ambient-dim", "mesh-not-a-dict",
-         "mesh-with-a-key-of-another-kind", "target-with-a-key-of-another-kind"],
+         "mesh-with-a-key-of-another-kind", "target-with-a-key-of-another-kind",
+         "mesh-level-not-an-int"],
 )
 def test_checkpoint_bad_spec_is_parse_error(ico2, s2, tmp_path, field, bad):
     path = tmp_path / "ck.json"
@@ -415,6 +432,38 @@ def test_cli_key_of_another_kind_exit_2(tmp_path, capsys, section, keys):
     assert not out.exists()
 
 
+# an int key of each kind table given a number that is not an int; each was
+# truncated (2.7 to 2, True to 1), so another mesh, target or map was built
+@pytest.mark.parametrize("kinds,spec", [
+    (MESH_KINDS, {"kind": "icosphere", "level": 2.7}),
+    (MESH_KINDS, {"kind": "icosphere", "level": True}),
+    (MESH_KINDS, {"kind": "circle", "n": 16.5}),
+    (MESH_KINDS, {"kind": "flat_torus", "nu": 8, "nv": 12.5}),
+    (TARGET_KINDS, {"kind": "sphere", "ambient_dim": 3.9}),
+    (TARGET_KINDS, {"kind": "clifford_torus", "m": True}),
+    (INITIAL_MAP_KINDS, {"kind": "degree_circle", "k": 1.5}),
+], ids=["icosphere-level-2.7", "icosphere-level-true", "circle-n", "flat_torus-nv",
+        "sphere-ambient_dim", "clifford_torus-m-true", "degree_circle-k"])
+def test_int_spec_key_rejects_what_is_not_an_int(kinds, spec):
+    with pytest.raises(InvalidSpec, match="must be an integer"):
+        take_kind(kinds, spec, "spec")
+
+
+def test_int_spec_key_takes_an_integral_number():
+    # a JSON 2.0 is the int 2: only a fractional part or a bool is rejected
+    assert build_source({"kind": "icosphere", "level": 2.0}).spec == {"kind": "icosphere",
+                                                                      "level": 2}
+
+
+def test_cli_int_key_not_an_int_exit_2(tmp_path, capsys):
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"},
+                       mesh={"kind": "icosphere", "level": 2.7})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 2
+    assert "[mesh] level = '2.7'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_checkpoints_on_with_no_cadence_exit_2(tmp_path, capsys):
     # checkpoint_every = 0 switches checkpoints off, so write_checkpoints = true wrote none
     path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "flow"},
@@ -469,6 +518,14 @@ def test_shipped_config_parses_and_sets_up(tmp_path, path):
     scn = parse_config(str(path))
     run = cli_module._Run(scn, str(tmp_path))  # mesh, target and initial map
     assert run.f0.values.shape == (run.mesh.vertex_count, run.target.ambient_dim)
+    # and runs to exit 0, every JSON artifact listed in the manifest and strict JSON
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--out", str(out)]) == 0
+    listed = {o["path"] for o in strict_json(out / "run_manifest.json")["outputs"]}
+    artifacts = [p for p in out.glob("*.json") if p.name != "run_manifest.json"]
+    assert artifacts and {p.name for p in artifacts} <= listed
+    for artifact in artifacts:
+        strict_json(artifact)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +857,20 @@ def test_cli_hessian_spec_with_morse_bott(tmp_path):
     assert mb["verdict"] == "morse_bott"
 
 
+def test_cli_gap_ratio_without_an_eigenvalue_outside_the_band_is_null(tmp_path):
+    # every eigenvalue lies in the kernel band: there is no gap to measure, and the
+    # ratio was written as the bare token NaN, which strict JSON parsers reject
+    path = minimal_cfg(tmp_path, scenario={"seed": 1, "analyses": "hessian-spec"},
+                       hessian={"kernel_tol": 1e6, "expected_critical_dim": 2})
+    out = tmp_path / "out"
+    assert cli_main(["run", path, "--out", str(out)]) == 0
+    spec = strict_json(out / "hessian_spectrum.json")
+    mb = strict_json(out / "morse_bott.json")
+    assert spec["kernel_dim"] == spec["basis_dim"]
+    assert spec["gap_ratio"] is None and mb["gap_ratio"] is None
+    assert mb["verdict"] == "inconclusive" and mb["predicted_theta"] is None
+
+
 def test_cli_bogus_verify_variant_exit_2(tmp_path, capsys):
     cfg = BASE_CFG.format(analyses="verify") + "\n[verify]\np = 3\nvariant = bogus\n"
     assert cli_main(["run", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
@@ -819,16 +890,17 @@ def test_cli_verify_variant_and_norm_must_agree(tmp_path, capsys, variant, norm,
 
 
 def test_cli_hessian_spec_assembles_one_hessian(tmp_path, monkeypatch):
+    # the spectrum assembles its form through energy's global, which is counted here
     calls = []
-    for module in (cli_module, loja_module):
-        for name in ("hessian_matrix", "hessian_spectrum"):
-            original = getattr(module, name)
+    for module, name in [(energy_module, "hessian_matrix"), (cli_module, "hessian_spectrum"),
+                         (loja_module, "hessian_spectrum")]:
+        original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     cfg = BASE_CFG.format(analyses="hessian-spec").replace(
         "kind = perturbed_constant\namplitude = 0.1", "kind = constant"
     )
@@ -849,7 +921,7 @@ def test_cli_hessian_spec_not_critical_exit_3_before_spectrum(tmp_path, monkeypa
     def no_hessian(f):
         raise AssertionError("Hessian assembled at a non-critical map")
 
-    monkeypatch.setattr(cli_module, "hessian_matrix", no_hessian)
+    monkeypatch.setattr(energy_module, "hessian_matrix", no_hessian)
     cfg = BASE_CFG.format(analyses="hessian-spec")  # perturbed map: not critical
     cfg += "\n[hessian]\nexpected_critical_dim = 2\n"
     out = tmp_path / "out"
